@@ -27,5 +27,5 @@ from .optim import (  # noqa: F401
     ivon_sample,
     ivon_step,
 )
-from .predict import PredictionBatch, SelectiveDecision, predict_mc, predict_mean  # noqa: F401
+from .predict import PredictionBatch, predict_mc, predict_mean  # noqa: F401
 from .rng import RngState, child, sample_standard_normal, seed_rng  # noqa: F401

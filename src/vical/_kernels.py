@@ -1,20 +1,18 @@
-"""Hot numeric kernels, in numba and pure-numpy twins.
+"""Hot numeric kernels over flat numpy vectors.
 
-Three kernels carry essentially all the flat-vector arithmetic:
+Four kernels carry essentially all the flat-vector arithmetic:
 
-* ``normal_fill`` / ``uniform_fill``: counter-based random draws,
+* ``uniform_fill`` / ``normal_fill``: counter-based random draws,
 * ``adamw_core``: one AdamW update over a flat parameter vector,
 * ``ivon_core``: one IVON posterior update over a flat vector.
 
-Both twins of each kernel are written with the same per-element
-expression order so the optimizer cores agree bit-for-bit across
-backends. The normal fills may differ in the last ulp because numpy's
-vectorized log/cos and libm's scalar versions round differently on
-some inputs; tests pin this at 1e-12 relative.
+Each kernel is vectorized numpy. The per-element expression order is
+part of the output contract: reordering an expression changes rounding
+and therefore every reported number. The tests check each kernel
+against a scalar per-element reference.
 
 All time-step scalars (bias corrections, EMA complements) are computed
-once by the caller and passed in, so both backends consume identical
-scalar values.
+once by the caller and passed in.
 """
 
 from __future__ import annotations
@@ -23,12 +21,9 @@ import math
 
 import numpy as np
 
-from . import backend
-
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 MIX_2 = np.uint64(0x94D049BB133111EB)
-SPLIT = np.uint64(0xC2B2AE3D27D4EB4F)
 
 _U11 = np.uint64(11)
 _U30 = np.uint64(30)
@@ -40,9 +35,7 @@ _INV53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 
-# ---------------------------------------------------------------- numpy ----
-
-def _mix64_np(x: np.ndarray) -> np.ndarray:
+def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
     with np.errstate(over="ignore"):
         x = x ^ (x >> _U30)
@@ -53,29 +46,29 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _raw_words_np(key: np.uint64, counter: np.uint64, idx: np.ndarray) -> np.ndarray:
+def _raw_words(key: np.uint64, counter: np.uint64, idx: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        return _mix64_np(key + (counter + idx) * GOLDEN)
+        return _mix64(key + (counter + idx) * GOLDEN)
 
 
-def _uniform_fill_np(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
+def uniform_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.uint64)
-    w = _raw_words_np(key, counter, idx)
+    w = _raw_words(key, counter, idx)
     return (w >> _U11).astype(np.float64) * _INV53
 
 
-def _normal_fill_np(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
+def normal_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
     # draw i consumes counter words 2i and 2i+1 (Box-Muller, cosine branch)
     idx = np.arange(n, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        w1 = _raw_words_np(key, counter, _TWO * idx)
-        w2 = _raw_words_np(key, counter, _TWO * idx + _ONE)
+        w1 = _raw_words(key, counter, _TWO * idx)
+        w2 = _raw_words(key, counter, _TWO * idx + _ONE)
     u1 = ((w1 >> _U11) + _ONE).astype(np.float64) * _INV53  # (0,1], log-safe
     u2 = (w2 >> _U11).astype(np.float64) * _INV53           # [0,1)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def _adamw_core_np(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2):
+def adamw_core(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2) -> None:
     omb1 = 1.0 - b1
     omb2 = 1.0 - b2
     m[:] = b1 * m + omb1 * grad
@@ -85,7 +78,8 @@ def _adamw_core_np(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2):
     params[:] = params - lr * (mh / (np.sqrt(vh) + eps) + wd * params)
 
 
-def _ivon_core_np(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
+def ivon_core(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
+    """Update mean, hess and gmom in place; return (min(h_new+delta), floored)."""
     omb1 = 1.0 - b1
     omb2 = 1.0 - b2
     hd = hess + delta
@@ -100,117 +94,3 @@ def _ivon_core_np(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3
     hess[:] = hnew
     mean[:] = mean - lr * (gmom / bc1 + delta * mean) / (hess + delta)
     return min_hd, floored
-
-
-_IMPLS = {
-    "numpy": {
-        "uniform_fill": _uniform_fill_np,
-        "normal_fill": _normal_fill_np,
-        "adamw_core": _adamw_core_np,
-        "ivon_core": _ivon_core_np,
-    }
-}
-
-
-# ---------------------------------------------------------------- numba ----
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised via VICAL_BACKEND=numpy
-    njit = None
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _mix64_nb(x):
-        x = x ^ (x >> _U30)
-        x = x * MIX_1
-        x = x ^ (x >> _U27)
-        x = x * MIX_2
-        x = x ^ (x >> _U31)
-        return x
-
-    @njit(cache=True)
-    def _uniform_fill_nb(key, counter, n):
-        out = np.empty(n, np.float64)
-        for i in range(n):
-            w = _mix64_nb(key + (counter + np.uint64(i)) * GOLDEN)
-            out[i] = float(w >> _U11) * _INV53
-        return out
-
-    @njit(cache=True)
-    def _normal_fill_nb(key, counter, n):
-        out = np.empty(n, np.float64)
-        for i in range(n):
-            c = counter + _TWO * np.uint64(i)
-            w1 = _mix64_nb(key + c * GOLDEN)
-            w2 = _mix64_nb(key + (c + _ONE) * GOLDEN)
-            u1 = float((w1 >> _U11) + _ONE) * _INV53
-            u2 = float(w2 >> _U11) * _INV53
-            out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-        return out
-
-    @njit(cache=True)
-    def _adamw_core_nb(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2):
-        omb1 = 1.0 - b1
-        omb2 = 1.0 - b2
-        for i in range(params.shape[0]):
-            m[i] = b1 * m[i] + omb1 * grad[i]
-            v[i] = b2 * v[i] + omb2 * (grad[i] * grad[i])
-            mh = m[i] / bc1
-            vh = v[i] / bc2
-            params[i] = params[i] - lr * (mh / (math.sqrt(vh) + eps) + wd * params[i])
-
-    @njit(cache=True)
-    def _ivon_core_nb(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
-        omb1 = 1.0 - b1
-        omb2 = 1.0 - b2
-        min_hd = np.inf
-        floored = 0
-        for i in range(mean.shape[0]):
-            hd = hess[i] + delta
-            hhat = gprod[i] * lam * hd
-            gmom[i] = b1 * gmom[i] + omb1 * gavg[i]
-            diff = hess[i] - hhat
-            hnew = b2 * hess[i] + omb2 * hhat + c3 * (diff * diff) / hd
-            if hnew + delta < min_hd:
-                min_hd = hnew + delta
-            if hnew < 0.0:
-                floored += 1
-                hnew = 0.0
-            hess[i] = hnew
-            mean[i] = mean[i] - lr * (gmom[i] / bc1 + delta * mean[i]) / (hess[i] + delta)
-        return min_hd, floored
-
-    _IMPLS["numba"] = {
-        "uniform_fill": _uniform_fill_nb,
-        "normal_fill": _normal_fill_nb,
-        "adamw_core": _adamw_core_nb,
-        "ivon_core": _ivon_core_nb,
-    }
-
-
-def get(name: str, backend_name: str | None = None):
-    """Fetch a kernel by name from the active (or a named) backend."""
-    which = backend.active() if backend_name is None else backend_name
-    try:
-        impls = _IMPLS[which]
-    except KeyError:
-        raise ValueError(f"backend {which!r} is unavailable") from None
-    return impls[name]
-
-
-def uniform_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
-    return get("uniform_fill")(key, counter, n)
-
-
-def normal_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
-    return get("normal_fill")(key, counter, n)
-
-
-def adamw_core(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2) -> None:
-    get("adamw_core")(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2)
-
-
-def ivon_core(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
-    return get("ivon_core")(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3)

@@ -1,53 +1,13 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation, recorded in run metadata.
 
-The hot loops (bulk normal generation, optimizer element updates) exist
-twice: a numba-jitted version and a pure-numpy version. The environment
-variable VICAL_BACKEND picks one; unset means "numba if importable,
-numpy otherwise". Selection happens once per process, on first use.
+The kernels in ``vical._kernels`` have a single numpy implementation;
+this name is written to ``metadata.json`` so reports say what computed
+them.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
-log = logging.getLogger(__name__)
-
-_VALID = ("numba", "numpy")
-_active: str | None = None
-
-
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
 
 def active() -> str:
-    """Return the active backend name, resolving it on first call."""
-    global _active
-    if _active is None:
-        choice = os.environ.get("VICAL_BACKEND", "").strip().lower()
-        if choice and choice not in _VALID:
-            raise ValueError(
-                f"VICAL_BACKEND must be one of {_VALID}, got {choice!r}"
-            )
-        if choice == "numba" and not _numba_available():
-            raise ValueError("VICAL_BACKEND=numba but numba is not importable")
-        if not choice:
-            choice = "numba" if _numba_available() else "numpy"
-        _active = choice
-        log.debug("kernel backend: %s", _active)
-    return _active
-
-
-def set_backend(name: str) -> None:
-    """Force a backend (tests and benchmarks only)."""
-    global _active
-    if name not in _VALID:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _numba_available():
-        raise ValueError("numba backend requested but numba is not importable")
-    _active = name
+    """Return the kernel implementation name (always ``"numpy"``)."""
+    return "numpy"

@@ -29,7 +29,6 @@ class ConfigError(Exception):
 class EvalSettings:
     mc_samples: List[int] = field(default_factory=lambda: [8])
     temperatures: List[float] = field(default_factory=lambda: [1.0])
-    gamma_grid: List[float] = field(default_factory=lambda: [0.5, 0.6, 0.7, 0.8, 0.9])
     ece_bins: int = 10
     risk_budgets: List[float] = field(default_factory=lambda: [0.01, 0.05, 0.10])
 
@@ -83,8 +82,7 @@ _SCHEMA = {
              "grad_clip": float},
     "train": {"epochs": int, "batch_size": int},
     "eval": {"mc_samples": "int_list", "temperatures": "float_list",
-             "gamma_grid": "float_list", "ece_bins": int,
-             "risk_budgets": "float_list"},
+             "ece_bins": int, "risk_budgets": "float_list"},
     "sweep": {"mc_grid": "int_list", "temperature_grid": "float_list"},
     "run": {"seeds": "int_list", "optimizer": str, "out_dir": str},
 }
@@ -201,8 +199,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("eval.risk_budgets must lie in [0, 1]")
     if sorted(cfg.eval.risk_budgets) != list(cfg.eval.risk_budgets):
         raise ConfigError("eval.risk_budgets must be non-decreasing")
-    if any(not 0.0 <= g <= 1.0 for g in cfg.eval.gamma_grid):
-        raise ConfigError("eval.gamma_grid must lie in [0, 1]")
     if cfg.optimizer not in ("adamw", "ivon", "both"):
         raise ConfigError("run.optimizer must be adamw, ivon, or both")
     if not cfg.seeds:

@@ -108,6 +108,8 @@ def load_csv(path: str) -> Batch:
     want = [f"feature_{j}" for j in range(d)]
     if header[:-1] != want:
         raise DataError(f"{path}: feature columns must be feature_0..feature_{d-1}")
+    if len(lines) < 2:
+        raise DataError(f"{path}: no data rows")
 
     features = np.empty((len(lines) - 1, d))
     labels = np.empty(len(lines) - 1, dtype=np.int64)

@@ -76,9 +76,24 @@ class ExperimentResult:
 
 
 def load_data(cfg: ExperimentConfig) -> Tuple[model.Batch, model.Batch]:
-    if cfg.train_csv is not None:
-        return vdata.load_csv(cfg.train_csv), vdata.load_csv(cfg.dev_csv)
-    return vdata.generate_dataset(cfg.dataset)
+    if cfg.train_csv is None:
+        train, dev = vdata.generate_dataset(cfg.dataset)
+    else:
+        train, dev = vdata.load_csv(cfg.train_csv), vdata.load_csv(cfg.dev_csv)
+    if dev.features.shape[1] != train.features.shape[1]:
+        raise vdata.DataError(
+            f"the dev set has {dev.features.shape[1]} feature columns, "
+            f"the train set {train.features.shape[1]}"
+        )
+    # the model's class count comes from the train labels, so a larger
+    # dev label would index past the last output column when scored
+    n_classes = int(train.labels.max()) + 1
+    if int(dev.labels.max()) >= n_classes:
+        raise vdata.DataError(
+            f"dev label {int(dev.labels.max())} never occurs in the train set "
+            f"(train labels span 0..{n_classes - 1})"
+        )
+    return train, dev
 
 
 def model_sizes(cfg: ExperimentConfig, d: int, n_classes: int) -> Tuple[int, ...]:
@@ -248,24 +263,6 @@ def evaluate_one(
             out.append(EvalResult(mc_tag(k, t), artifact.seed,
                                   _metric_values(cfg, probs, dev.labels)))
     return out
-
-
-def selective_table(
-    probs: np.ndarray, labels: np.ndarray, gammas: Sequence[float]
-) -> List[Tuple[float, float, float]]:
-    """(gamma, coverage, selective accuracy) rows from the abstention rule."""
-    preds, confs = predict.maxprob_batch(probs)
-    rows = []
-    for gamma in gammas:
-        decisions = [predict.select(int(k), float(c), gamma)
-                     for k, c in zip(preds, confs)]
-        answered = [(d.answer, g) for d, g in zip(decisions, labels)
-                    if d.answer != predict.ABSTAIN]
-        coverage = len(answered) / len(decisions)
-        sel_acc = (sum(1 for a, g in answered if a == g) / len(answered)
-                   if answered else 0.0)
-        rows.append((float(gamma), coverage, sel_acc))
-    return rows
 
 
 def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:

@@ -1,4 +1,4 @@
-"""From trained state to class probabilities and selective decisions.
+"""From trained state to class probabilities.
 
 A "template" here is any callable mapping (flat parameter vector,
 feature matrix) to logits; the harness builds one per model variant so
@@ -15,15 +15,13 @@ first draws with any longer run from the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
 from . import numeric, optim, rng as vrng
 
 LogitFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-ABSTAIN = -1
 
 
 @dataclass
@@ -32,12 +30,6 @@ class PredictionBatch:
 
     probs: np.ndarray
     labels: np.ndarray
-
-
-@dataclass
-class SelectiveDecision:
-    answer: int  # class index, or ABSTAIN
-    confidence: float
 
 
 def predict_mean(state: optim.PosteriorState, template: LogitFn, features: np.ndarray) -> np.ndarray:
@@ -70,37 +62,3 @@ def predict_mc(
         logits = template(theta, features)
         total = logits if total is None else total + logits
     return numeric.softmax(total / k, axis=1)
-
-
-def _check_prob_row(row: np.ndarray) -> np.ndarray:
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("probability row must be a non-empty vector")
-    if np.any(arr < -1e-9) or abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError("invalid probability distribution")
-    return arr
-
-
-def maxprob(prob_row: np.ndarray) -> Tuple[int, float]:
-    """Predicted class and its probability; ties go to the lowest index."""
-    arr = _check_prob_row(prob_row)
-    k = int(np.argmax(arr))  # argmax returns the first maximum
-    return k, float(arr[k])
-
-
-def maxprob_batch(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized maxprob over rows: (predictions, confidences)."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("probs must be a non-empty [n, C] matrix")
-    preds = np.argmax(arr, axis=1)
-    return preds, arr[np.arange(arr.shape[0]), preds]
-
-
-def select(k: int, confidence: float, gamma: float) -> SelectiveDecision:
-    """Answer k when confidence >= gamma (boundary answers), else abstain."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if confidence >= gamma:
-        return SelectiveDecision(answer=int(k), confidence=float(confidence))
-    return SelectiveDecision(answer=ABSTAIN, confidence=float(confidence))

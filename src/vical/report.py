@@ -105,15 +105,9 @@ def write_reliability_csv(records_by_method: dict, n_bins: int, path: str) -> No
 
 
 def _versions() -> dict:
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "vical": __version__,
     }
 

@@ -6,6 +6,7 @@ MC-sample sweep on the trained posteriors; criteria 3 and 5 through 10
 read from it.  Criteria 1, 2, and 4 are self-contained oracle checks.
 """
 
+import hashlib
 import math
 import time
 
@@ -341,3 +342,20 @@ def test_criterion_10_determinism(default_run, tmp_path, verdict):
             "rerun with the default config: " +
             ", ".join(f"{n} {'identical' if ok else 'DIFFERS'}"
                       for n, ok in same.items()))
+
+
+# -- golden pin: the default run's report bytes -----------------------------
+
+GOLDEN_SHA256 = {
+    "report.csv": "86d0adb38a79ac75e56e30f51d87d1f044d1584d467223ce23ba53364c6f35a8",
+    "report.txt": "7c0838f6ecb316dbb210101f73e0efbe972b097ce418610e76aae483152a13d4",
+    "sweep_mc_samples.csv": "21acb1b723af5f0ead0183a411350a4af0aafe499082fc7994a5a1c50e7d48bd",
+}
+
+
+def test_golden_report_pin(default_run):
+    got = {}
+    for name in GOLDEN_SHA256:
+        with open(f"{default_run['out_dir']}/{name}", "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == GOLDEN_SHA256

@@ -227,17 +227,6 @@ def test_mc_tag_format():
     assert experiment.mc_tag(1, 1e12) == "IVON MC-1 T=1e+12"
 
 
-def test_selective_table_gamma_zero_answers_everything():
-    probs = np.array([[0.9, 0.1], [0.4, 0.6], [0.55, 0.45]])
-    labels = np.array([0, 1, 1])
-    rows = experiment.selective_table(probs, labels, [0.0, 0.6, 1.0])
-    assert rows[0][1] == 1.0  # full coverage
-    assert abs(rows[0][2] - 2.0 / 3.0) < 1e-12
-    # coverage never grows with gamma
-    assert rows[0][1] >= rows[1][1] >= rows[2][1]
-    assert rows[1] == (0.6, 2.0 / 3.0, 1.0)
-
-
 # ------------------------------------------------------------ experiment ---
 
 @pytest.fixture(scope="module")
@@ -360,8 +349,8 @@ def test_metadata_has_no_timestamps(small_run):
         meta = json.load(fh)
     assert meta["config_hash"] == config_hash(cfg)
     assert meta["seeds"] == [0, 1]
-    assert meta["backend"] in ("numba", "numpy")
-    assert set(meta["versions"]) == {"python", "numpy", "numba", "vical"}
+    assert meta["backend"] == "numpy"
+    assert set(meta["versions"]) == {"python", "numpy", "vical"}
     assert not any("time" in k or "date" in k for k in meta)
 
 
@@ -481,25 +470,30 @@ def test_cli_failed_run_exit_code(tmp_path):
                         "--seed", "0"]) == 4
 
 
-def test_backend_env_selection():
-    src = "from vical import backend; print(backend.active())"
-    for name in ("numpy", "numba"):
-        proc = subprocess.run(
-            [sys.executable, "-c", src],
-            env={**os.environ, "VICAL_BACKEND": name},
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0 and proc.stdout.strip() == name
+@pytest.mark.parametrize("dev_features, dev_labels", [
+    (np.zeros((2, 2)), np.array([1, 3])),  # label 3 never occurs in train
+    (np.zeros((2, 3)), np.array([0, 1])),  # one feature column too many
+    (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),  # header only
+])
+def test_cli_dev_csv_incompatible_with_train(tmp_path, dev_features, dev_labels):
+    train = data.Batch(np.zeros((12, 2)), np.arange(12) % 3)
+    data.save_csv(train, str(tmp_path / "train.csv"))
+    data.save_csv(data.Batch(dev_features, dev_labels), str(tmp_path / "dev.csv"))
+    ini = _write_ini(tmp_path, SMALL_INI.replace(
+        "seed = 5",
+        f"seed = 5\ntrain_csv = {tmp_path}/train.csv\ndev_csv = {tmp_path}/dev.csv",
+    ))
+    assert cli.run_cli(["eval", "--config", ini, "--seed", "0",
+                        "--out", str(tmp_path / "eval_out")]) == 3
+
+
+def test_python_m_vical_help():
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", src],
-        env={**os.environ, "VICAL_BACKEND": "fortran"},
-        capture_output=True, text=True,
+        [sys.executable, "-m", "vical", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode != 0
-
-
-def test_set_backend_validation():
-    from vical import backend
-
-    with pytest.raises(ValueError):
-        backend.set_backend("fortran")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: vical")

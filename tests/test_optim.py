@@ -269,33 +269,70 @@ def test_ivon_limit_of_large_ess_is_deterministic():
     assert gaps[2] < 1e-6
 
 
-def test_backend_cores_agree_exactly():
-    if "numba" not in _kernels._IMPLS:
-        pytest.skip("numba unavailable")
+def _adamw_reference(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2):
+    """Scalar per-element form of _kernels.adamw_core."""
+    omb1 = 1.0 - b1
+    omb2 = 1.0 - b2
+    for i in range(params.shape[0]):
+        m[i] = b1 * m[i] + omb1 * grad[i]
+        v[i] = b2 * v[i] + omb2 * (grad[i] * grad[i])
+        mh = m[i] / bc1
+        vh = v[i] / bc2
+        params[i] = params[i] - lr * (mh / (math.sqrt(vh) + eps) + wd * params[i])
+
+
+def _ivon_reference(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
+    """Scalar per-element form of _kernels.ivon_core."""
+    omb1 = 1.0 - b1
+    omb2 = 1.0 - b2
+    min_hd = math.inf
+    floored = 0
+    for i in range(mean.shape[0]):
+        hd = hess[i] + delta
+        hhat = gprod[i] * lam * hd
+        gmom[i] = b1 * gmom[i] + omb1 * gavg[i]
+        diff = hess[i] - hhat
+        hnew = b2 * hess[i] + omb2 * hhat + c3 * (diff * diff) / hd
+        min_hd = min(min_hd, hnew + delta)
+        if hnew < 0.0:
+            floored += 1
+            hnew = 0.0
+        hess[i] = hnew
+        mean[i] = mean[i] - lr * (gmom[i] / bc1 + delta * mean[i]) / (hess[i] + delta)
+    return min_hd, floored
+
+
+def test_adamw_core_matches_scalar_reference():
     p = _vec(60, 256)
     g = _vec(61, 256, scale=0.1)
-    args_by_backend = {}
-    for name in ("numpy", "numba"):
-        params, m, v = p.copy(), np.zeros(256), np.zeros(256)
-        _kernels.get("adamw_core", name)(
-            params, g, m, v, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.1, 0.001999
-        )
-        args_by_backend[name] = (params, m, v)
-    for a, b in zip(args_by_backend["numpy"], args_by_backend["numba"]):
+    args = (0.01, 0.9, 0.999, 1e-8, 0.1, 0.1, 0.001999)
+    got = (p.copy(), np.zeros(256), np.zeros(256))
+    ref = (p.copy(), np.zeros(256), np.zeros(256))
+    for _ in range(3):
+        _kernels.adamw_core(got[0], g, got[1], got[2], *args)
+        _adamw_reference(ref[0], g, ref[1], ref[2], *args)
+    for a, b in zip(got, ref):
         assert np.array_equal(a, b)
 
-    outs = {}
-    for name in ("numpy", "numba"):
-        mean, hess = p.copy(), np.abs(_vec(62, 256)) + 1e-4
-        gmom = np.zeros(256)
-        gprod = _vec(63, 256, scale=1e-5)
-        ret = _kernels.get("ivon_core", name)(
-            mean, hess, gmom, gprod, g, 0.01, 0.9, 1.0 - 1e-5, 1e6, 0.0, 0.1, 0.5e-10
-        )
-        outs[name] = (mean, hess, gmom, ret)
-    for a, b in zip(outs["numpy"][:3], outs["numba"][:3]):
+
+@pytest.mark.parametrize("gprod_scale, b2, delta, c3, floors", [
+    (1e-5, 1.0 - 1e-5, 0.0, 0.5e-10, False),
+    # no curvature correction and large products: negative ones push h below 0
+    (1e-3, 0.5, 1e-3, 0.0, True),
+])
+def test_ivon_core_matches_scalar_reference(gprod_scale, b2, delta, c3, floors):
+    g = _vec(61, 256, scale=0.1)
+    gprod = _vec(63, 256, scale=gprod_scale)
+    fresh = (_vec(60, 256), np.abs(_vec(62, 256)) + 1e-4, np.zeros(256))
+    got = tuple(a.copy() for a in fresh)
+    ref = tuple(a.copy() for a in fresh)
+    args = (0.01, 0.9, b2, 1e6, delta, 0.1, c3)
+    ret = _kernels.ivon_core(*got, gprod, g, *args)
+    ret_ref = _ivon_reference(*ref, gprod, g, *args)
+    for a, b in zip(got, ref):
         assert np.array_equal(a, b)
-    assert outs["numpy"][3][0] == pytest.approx(outs["numba"][3][0], abs=0.0)
+    assert ret == ret_ref
+    assert (ret[1] > 0) == floors
 
 
 # --------------------------------------------------------------- schedule --

@@ -65,42 +65,3 @@ def test_mc_validation():
         predict.predict_mc(state, cfg, template, x, 0, 1.0, rng.seed_rng(1))
     with pytest.raises(ValueError):
         predict.predict_mc(state, cfg, template, x, 4, 0.0, rng.seed_rng(1))
-
-
-def test_maxprob_oracle():
-    assert predict.maxprob(np.array([0.25, 0.75])) == (1, 0.75)
-    k, c = predict.maxprob(np.full(3, 1.0 / 3.0))
-    assert k == 0 and abs(c - 1.0 / 3.0) < 1e-15
-    # ties resolve to the lowest class index
-    assert predict.maxprob(np.array([0.5, 0.5])) == (0, 0.5)
-
-
-def test_maxprob_rejects_invalid_rows():
-    with pytest.raises(ValueError):
-        predict.maxprob(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        predict.maxprob(np.array([1.2, -0.2]))
-    with pytest.raises(ValueError):
-        predict.maxprob(np.array([]))
-
-
-def test_maxprob_batch_matches_rowwise():
-    probs = np.array([[0.1, 0.9], [0.7, 0.3], [0.5, 0.5]])
-    preds, confs = predict.maxprob_batch(probs)
-    for i in range(3):
-        k, c = predict.maxprob(probs[i])
-        assert preds[i] == k and confs[i] == c
-    with pytest.raises(ValueError):
-        predict.maxprob_batch(np.zeros((0, 2)))
-
-
-def test_select_boundary_inclusive():
-    on = predict.select(2, 0.7, 0.7)
-    assert on.answer == 2 and on.confidence == 0.7
-    off = predict.select(2, 0.69999, 0.7)
-    assert off.answer == predict.ABSTAIN
-    assert predict.select(1, 0.0, 0.0).answer == 1
-    with pytest.raises(ValueError):
-        predict.select(1, 0.5, 1.5)
-    with pytest.raises(ValueError):
-        predict.select(1, 0.5, -0.1)

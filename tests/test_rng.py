@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,14 +82,30 @@ def test_sequential_draws_continue_stream():
     assert np.array_equal(np.concatenate([a, b]), both)
 
 
-def test_backends_agree():
-    if "numba" not in _kernels._IMPLS:
-        pytest.skip("numba unavailable")
-    key, ctr = np.uint64(0xDEADBEEF), np.uint64(5)
-    u_np = _kernels.get("uniform_fill", "numpy")(key, ctr, 4096)
-    u_nb = _kernels.get("uniform_fill", "numba")(key, ctr, 4096)
-    assert np.array_equal(u_np, u_nb)
-    z_np = _kernels.get("normal_fill", "numpy")(key, ctr, 4096)
-    z_nb = _kernels.get("normal_fill", "numba")(key, ctr, 4096)
+def _fills_reference(key, counter, n):
+    """Scalar per-element form of uniform_fill and normal_fill."""
+    inv53 = 2.0 ** -53
+
+    def word(c):
+        return rng._mix64(key + c * rng._GOLDEN)
+
+    uniform = [float(word(counter + i) >> 11) * inv53 for i in range(n)]
+    normal = []
+    for i in range(n):
+        c = counter + 2 * i
+        u1 = float((word(c) >> 11) + 1) * inv53
+        u2 = float(word(c + 1) >> 11) * inv53
+        normal.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    return np.array(uniform), np.array(normal)
+
+
+@pytest.mark.parametrize("key, counter, n", [
+    (0xDEADBEEF, 5, 4096),
+    (0x0123456789ABCDEF, (1 << 64) - 7, 64),  # counter wraps past 2^64
+])
+def test_fills_match_scalar_reference(key, counter, n):
+    u_ref, z_ref = _fills_reference(key, counter, n)
+    k, c = np.uint64(key), np.uint64(counter)
+    assert np.array_equal(_kernels.uniform_fill(k, c, n), u_ref)
     # vectorized log/cos may differ from libm by an ulp
-    assert np.max(np.abs(z_np - z_nb)) < 1e-12
+    assert np.max(np.abs(_kernels.normal_fill(k, c, n) - z_ref)) < 1e-12
