@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import experiment, report
+from . import experiment, metrics, report
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import DataError, generate_dataset, save_csv
 from .experiment import TrainingDiverged
@@ -131,25 +131,14 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    from . import metrics, predict
-
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
     dev = data[1]
     methods = ("adamw", "ivon") if cfg.optimizer == "both" else (cfg.optimizer,)
     results = []
-    curve_records = {}
     for method in methods:
         art = experiment.train_one(cfg, seed, method, data=data)
-        for ev in experiment.evaluate_one(art, dev, cfg):
-            results.append(ev)
-            if art.method == "adamw":
-                probs = predict.predict_point(art.params, art.template, dev.features)
-            elif ev.method == "IVON Mean":
-                probs = predict.predict_mean(art.posterior, art.template, dev.features)
-            else:
-                continue  # curve export covers the point and mean predictors
-            curve_records[ev.method] = metrics.records_from_probs(probs, dev.labels)
+        results.extend(experiment.evaluate_one(art, dev, cfg))
 
     for ev in results:
         vals = "  ".join(f"{k}={v:.4f}" for k, v in ev.values.items())
@@ -157,15 +146,12 @@ def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
     if args.out:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "eval_metrics.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("method,seed," + ",".join(experiment.METRIC_KEYS) + "\n")
-            for ev in results:
-                cells = [ev.method, str(ev.seed)]
-                cells += [repr(float(ev.values[k])) for k in experiment.METRIC_KEYS]
-                fh.write(",".join(cells) + "\n")
-        report.write_curve_csv(curve_records, os.path.join(cfg.out_dir, "risk_coverage.csv"))
-        report.write_reliability_csv(curve_records, cfg.eval.ece_bins,
+        report.write_eval_csv(results, os.path.join(cfg.out_dir, "eval_metrics.csv"))
+        # curve export covers the point and mean predictors
+        scores = {ev.method: metrics.records_from_probs(ev.probs, dev.labels)
+                  for ev in results if ev.probs is not None}
+        report.write_curve_csv(scores, os.path.join(cfg.out_dir, "risk_coverage.csv"))
+        report.write_reliability_csv(scores, cfg.eval.ece_bins,
                                      os.path.join(cfg.out_dir, "reliability.csv"))
         print(f"wrote metrics and curves under {cfg.out_dir}")
     return 0

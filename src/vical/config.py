@@ -199,6 +199,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("eval.risk_budgets must lie in [0, 1]")
     if sorted(cfg.eval.risk_budgets) != list(cfg.eval.risk_budgets):
         raise ConfigError("eval.risk_budgets must be non-decreasing")
+    if any(k < 1 for k in cfg.sweep.mc_grid):
+        raise ConfigError("sweep.mc_grid values must be >= 1")
+    if any(t <= 0 for t in cfg.sweep.temperature_grid):
+        raise ConfigError("sweep.temperature_grid values must be > 0")
     if cfg.optimizer not in ("adamw", "ivon", "both"):
         raise ConfigError("run.optimizer must be adamw, ivon, or both")
     if not cfg.seeds:

@@ -55,6 +55,7 @@ class EvalResult:
     method: str  # report tag, e.g. "AdamW", "IVON Mean", "IVON MC-8"
     seed: int
     values: Dict[str, float]
+    probs: Optional[np.ndarray] = None  # scored dev probabilities, point and mean rows
 
 
 @dataclass
@@ -215,18 +216,17 @@ def eval_rng(seed: int) -> vrng.RngState:
 
 
 def _metric_values(cfg: ExperimentConfig, probs: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
-    batch = predict.PredictionBatch(probs=probs, labels=labels)
-    records = metrics.records_from_probs(probs, labels)
+    conf, correct = metrics.records_from_probs(probs, labels)
     budgets = cfg.eval.risk_budgets
     return {
-        "acc": metrics.accuracy(batch),
-        "ece": metrics.ece(records, cfg.eval.ece_bins),
-        "nll": metrics.nll(batch),
-        "brier": metrics.brier(batch),
-        "c_at_1": metrics.coverage_at_risk(records, budgets[0]),
-        "c_at_5": metrics.coverage_at_risk(records, budgets[1]),
-        "c_at_10": metrics.coverage_at_risk(records, budgets[2]),
-        "auc": metrics.risk_coverage_auc(records),
+        "acc": metrics.accuracy(probs, labels),
+        "ece": metrics.ece(conf, correct, cfg.eval.ece_bins),
+        "nll": metrics.nll(probs, labels),
+        "brier": metrics.brier(probs, labels),
+        "c_at_1": metrics.coverage_at_risk(conf, correct, budgets[0]),
+        "c_at_5": metrics.coverage_at_risk(conf, correct, budgets[1]),
+        "c_at_10": metrics.coverage_at_risk(conf, correct, budgets[2]),
+        "auc": metrics.risk_coverage_auc(conf, correct),
     }
 
 
@@ -249,12 +249,12 @@ def evaluate_one(
     if artifact.method == "adamw":
         probs = predict.predict_point(artifact.params, artifact.template, dev.features)
         out.append(EvalResult("AdamW", artifact.seed,
-                              _metric_values(cfg, probs, dev.labels)))
+                              _metric_values(cfg, probs, dev.labels), probs))
         return out
 
     probs = predict.predict_mean(artifact.posterior, artifact.template, dev.features)
     out.append(EvalResult("IVON Mean", artifact.seed,
-                          _metric_values(cfg, probs, dev.labels)))
+                          _metric_values(cfg, probs, dev.labels), probs))
     root = eval_rng(artifact.seed)
     for t in cfg.eval.temperatures:
         for k in cfg.eval.mc_samples:

@@ -14,7 +14,6 @@ first draws with any longer run from the same stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,14 +21,6 @@ import numpy as np
 from . import numeric, optim, rng as vrng
 
 LogitFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass
-class PredictionBatch:
-    """Probability rows [n, C] next to their gold labels [n]."""
-
-    probs: np.ndarray
-    labels: np.ndarray
 
 
 def predict_mean(state: optim.PosteriorState, template: LogitFn, features: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, backend
 from .config import ExperimentConfig, config_dict, config_hash
-from .experiment import METRIC_KEYS, ExperimentResult, ReportRow
-from .metrics import EvalRecord, reliability_table, risk_coverage_curve
+from .experiment import METRIC_KEYS, EvalResult, ExperimentResult, ReportRow
+from .metrics import reliability_table, risk_coverage_curve
 
 _SCALED = ("ece", "brier", "auc")  # shown as x100 in the table
 _HEADERS = {
@@ -85,20 +85,33 @@ def write_sweep_csv(rows: List[dict], axis: str, out_dir: str) -> str:
     return path
 
 
-def write_curve_csv(records_by_method: dict, path: str) -> None:
-    """Risk-coverage curves, one block per method tag."""
+def write_eval_csv(results: Sequence[EvalResult], path: str) -> None:
+    """Per-seed metric rows of one evaluation, raw fractions."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("method,seed," + ",".join(METRIC_KEYS) + "\n")
+        for ev in results:
+            cells = [ev.method, ev.seed] + [float(ev.values[k]) for k in METRIC_KEYS]
+            fh.write(_csv_line(cells) + "\n")
+
+
+def write_curve_csv(scores_by_method: dict, path: str) -> None:
+    """Risk-coverage curves, one block per method tag.
+
+    ``scores_by_method`` maps a tag to its (confidence, correct) arrays.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,coverage,risk\n")
-        for method, records in records_by_method.items():
-            for point in risk_coverage_curve(records):
-                fh.write(_csv_line([method, point.coverage, point.risk]) + "\n")
+        for method, (conf, correct) in scores_by_method.items():
+            for coverage, risk in risk_coverage_curve(conf, correct):
+                fh.write(_csv_line([method, coverage, risk]) + "\n")
 
 
-def write_reliability_csv(records_by_method: dict, n_bins: int, path: str) -> None:
+def write_reliability_csv(scores_by_method: dict, n_bins: int, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,bin_lo,bin_hi,count,mean_confidence,accuracy\n")
-        for method, records in records_by_method.items():
-            for b, (count, mean_conf, acc) in enumerate(reliability_table(records, n_bins)):
+        for method, (conf, correct) in scores_by_method.items():
+            rows = reliability_table(conf, correct, n_bins)
+            for b, (count, mean_conf, acc) in enumerate(rows):
                 cells = [method, float(b) / n_bins, float(b + 1) / n_bins,
                          count, float(mean_conf), float(acc)]
                 fh.write(_csv_line(cells) + "\n")

@@ -184,9 +184,9 @@ def _bf_ece(conf, correct, n_bins):
                for cnt, csum, asum in bins.values())
 
 
-def _records(conf, correct):
-    return [metrics.EvalRecord(float(c), 1, 1 if ok else 0)
-            for c, ok in zip(conf, correct)]
+def _scores(conf, correct):
+    return (np.asarray(conf, dtype=np.float64),
+            np.asarray(correct, dtype=np.float64))
 
 
 def test_criterion_4_metric_oracles(verdict):
@@ -200,21 +200,21 @@ def test_criterion_4_metric_oracles(verdict):
             conf = np.round(conf, 1)  # force confidence ties
         p_ok = 0.5 + 0.4 * vrng.sample_uniform(vrng.child(r, 2), 1)[0]
         correct = vrng.sample_uniform(vrng.child(r, 3), n) < p_ok
-        recs = _records(conf, correct)
+        scores = _scores(conf, correct)
         for budget in (0.0, 0.01, 0.05, 0.1, 0.5):
-            worst = max(worst, abs(metrics.coverage_at_risk(recs, budget)
+            worst = max(worst, abs(metrics.coverage_at_risk(*scores, budget)
                                    - _bf_coverage_at_risk(conf, correct, budget)))
-        worst = max(worst, abs(metrics.risk_coverage_auc(recs)
+        worst = max(worst, abs(metrics.risk_coverage_auc(*scores)
                                - _bf_auc(conf, correct)))
         for n_bins in (1, 7, 10):
-            worst = max(worst, abs(metrics.ece(recs, n_bins)
+            worst = max(worst, abs(metrics.ece(*scores, n_bins)
                                    - _bf_ece(conf, correct, n_bins)))
     # hand oracles
-    recs = _records([0.9, 0.8, 0.7, 0.6], [True, False, True, True])
+    scores = _scores([0.9, 0.8, 0.7, 0.6], [True, False, True, True])
     hand_ok = (
-        metrics.risk_coverage_auc(recs) == 13.0 / 48.0
-        and metrics.coverage_at_risk(recs, 0.05) == 0.25
-        and metrics.ece(_records([0.9, 0.9, 0.9, 0.9],
+        metrics.risk_coverage_auc(*scores) == 13.0 / 48.0
+        and metrics.coverage_at_risk(*scores, 0.05) == 0.25
+        and metrics.ece(*_scores([0.9, 0.9, 0.9, 0.9],
                                  [True, True, True, False]), 10) == pytest.approx(0.15, abs=1e-15)
     )
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vical import cli, data, experiment, report
+from vical import cli, data, experiment, model, report
 from vical.config import (
     ConfigError, ExperimentConfig, config_dict, config_hash, load_config,
     validate_config,
@@ -131,6 +132,14 @@ def test_validate_config_invariants():
     cfg = _small_cfg()
     cfg.train_csv = "only_train.csv"
     with pytest.raises(ConfigError, match="both"):
+        validate_config(cfg)
+    cfg = _small_cfg()
+    cfg.sweep.mc_grid = [0, 1]
+    with pytest.raises(ConfigError, match="mc_grid"):
+        validate_config(cfg)
+    cfg = _small_cfg()
+    cfg.sweep.temperature_grid = [-1.0]
+    with pytest.raises(ConfigError, match="temperature_grid"):
         validate_config(cfg)
 
 
@@ -355,17 +364,15 @@ def test_metadata_has_no_timestamps(small_run):
 
 
 def test_curve_and_reliability_exports(tmp_path):
-    from vical.metrics import EvalRecord
-
-    records = {"AdamW": [EvalRecord(0.9, 0, 0), EvalRecord(0.4, 1, 0)]}
+    scores = {"AdamW": (np.array([0.9, 0.4]), np.array([1.0, 0.0]))}
     curve_path = str(tmp_path / "risk_coverage.csv")
-    report.write_curve_csv(records, curve_path)
+    report.write_curve_csv(scores, curve_path)
     with open(curve_path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "method,coverage,risk"
     assert lines[1] == "AdamW,0.5,0.0"
     rel_path = str(tmp_path / "reliability.csv")
-    report.write_reliability_csv(records, 10, rel_path)
+    report.write_reliability_csv(scores, 10, rel_path)
     with open(rel_path, encoding="utf-8") as fh:
         rel_lines = fh.read().splitlines()
     assert rel_lines[0] == "method,bin_lo,bin_hi,count,mean_confidence,accuracy"
@@ -413,7 +420,23 @@ def test_cli_train_saves_artifacts(tmp_path):
     assert blob["mean"].shape[0] > 0 and float(blob["min_hdelta"]) > 0.0
 
 
-def test_cli_eval_exports_curves(tmp_path):
+# sha256 of `vical eval --seed 0 --mc-samples 4 --temperature 10` on SMALL_INI
+EVAL_PINS = {
+    "eval_metrics.csv": "2d97238eb84dfc21344fbef813c1be459cbe726b9df2aa770b2eb1bc2e2ce7d8",
+    "risk_coverage.csv": "aeb4b5da789f8410a20f406081f91cf2c6ffa08f5550ff83002269ef3ddd8ba0",
+    "reliability.csv": "79cf0d127d41a5c119d4e9166a00dec705833aed1ae6c2eba52f11f09c2b6e37",
+}
+
+
+def test_cli_eval_exports_curves(tmp_path, monkeypatch):
+    forward = model.forward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
     ini = _write_ini(tmp_path)
     out = str(tmp_path / "eval_out")
     code = cli.run_cli(
@@ -421,6 +444,11 @@ def test_cli_eval_exports_curves(tmp_path):
          "--mc-samples", "4", "--temperature", "10"]
     )
     assert code == 0
+    # one point, one mean and k = 4 MC forwards: each prediction made once
+    assert len(calls) == 2 + 4
+    for name, digest in EVAL_PINS.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
     with open(os.path.join(out, "eval_metrics.csv"), encoding="utf-8") as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -444,7 +472,7 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 1 + 2 * 2  # two seeds, two grid values
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     bad_ini = tmp_path / "bad.ini"
     bad_ini.write_text("[dataset]\nnot_a_key = 1\n", encoding="utf-8")
     assert cli.run_cli(["run", "--config", str(bad_ini)]) == 2
@@ -461,6 +489,16 @@ def test_cli_exit_codes(tmp_path):
 
     ini = _write_ini(tmp_path)
     assert cli.run_cli(["run", "--config", ini, "--seeds", "0"]) == 2
+
+    # a bad sweep grid exits before any training
+    grid_ini = _write_ini(tmp_path, SMALL_INI + "\n[sweep]\nmc_grid = 0, 1\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config was rejected")
+
+    monkeypatch.setattr(experiment, "train_one", no_training)
+    assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", "mc_samples",
+                        "--out", str(tmp_path / "sweep_out")]) == 2
 
 
 def test_cli_failed_run_exit_code(tmp_path):

@@ -4,137 +4,128 @@ import numpy as np
 import pytest
 
 from vical import metrics, rng
-from vical.metrics import EvalRecord
-from vical.predict import PredictionBatch
 
 
-def _rec(conf, ok):
-    return EvalRecord(confidence=conf, predicted=0, gold=0 if ok else 1)
+def _scores(pairs):
+    """(conf, correct) arrays from (confidence, is-correct) pairs."""
+    conf = np.array([c for c, _ in pairs], dtype=np.float64)
+    correct = np.array([1.0 if ok else 0.0 for _, ok in pairs])
+    return conf, correct
 
 
-ORACLE = [
-    _rec(0.9, True),
-    _rec(0.8, False),
-    _rec(0.7, True),
-    _rec(0.6, True),
-]
+ORACLE = _scores([(0.9, True), (0.8, False), (0.7, True), (0.6, True)])
 
 
 # ----------------------------------------------------- brute-force twins ---
 
-def _bf_sorted(records):
+def _bf_sorted(conf, correct):
     # descending confidence, incorrect before correct on ties
-    return sorted(records, key=lambda r: (-r.confidence, r.predicted == r.gold))
+    return sorted(zip(conf.tolist(), correct.tolist()), key=lambda r: (-r[0], r[1]))
 
 
-def _bf_coverage_at_risk(records, budget):
-    rs = _bf_sorted(records)
+def _bf_coverage_at_risk(conf, correct, budget):
+    rs = _bf_sorted(conf, correct)
     n = len(rs)
     best = 0.0
     errs = 0
-    for k, r in enumerate(rs, start=1):
-        errs += r.predicted != r.gold
+    for k, (_, ok) in enumerate(rs, start=1):
+        errs += not ok
         if errs / k <= budget:
             best = k / n
     return best
 
 
-def _bf_auc(records):
-    rs = _bf_sorted(records)
+def _bf_auc(conf, correct):
+    rs = _bf_sorted(conf, correct)
     errs, total = 0, 0.0
-    for k, r in enumerate(rs, start=1):
-        errs += r.predicted != r.gold
+    for k, (_, ok) in enumerate(rs, start=1):
+        errs += not ok
         total += errs / k
     return total / len(rs)
 
 
-def _bf_ece(records, bins):
+def _bf_ece(conf, correct, bins):
     sums = {}
-    for r in records:
-        b = min(int(r.confidence * bins), bins - 1)
-        c, s, ok = sums.get(b, (0, 0.0, 0))
-        sums[b] = (c + 1, s + r.confidence, ok + (r.predicted == r.gold))
-    n = len(records)
+    for c, ok in zip(conf.tolist(), correct.tolist()):
+        b = min(int(c * bins), bins - 1)
+        cnt, s, oks = sums.get(b, (0, 0.0, 0))
+        sums[b] = (cnt + 1, s + c, oks + bool(ok))
+    n = len(conf)
     return sum(
         (c / n) * abs(ok / c - s / c) for c, s, ok in sums.values()
     )
 
 
-def _random_records(key, n, c):
+def _random_scores(key, n, c):
     r = rng.seed_rng(key)
     conf = rng.sample_uniform(rng.child(r, 0), n)
     pred = np.floor(rng.sample_uniform(rng.child(r, 1), n) * c).astype(int)
     gold = np.floor(rng.sample_uniform(rng.child(r, 2), n) * c).astype(int)
-    return [EvalRecord(float(cc), int(p), int(g)) for cc, p, g in zip(conf, pred, gold)]
+    return conf, (pred == gold).astype(np.float64)
 
 
 # ----------------------------------------------------------- hand oracles --
 
 def test_ece_single_bin_oracle():
-    records = [_rec(0.7, i < 5) for i in range(10)]
-    assert abs(metrics.ece(records, n_bins=10) - 0.2) < 1e-12
+    conf, correct = _scores([(0.7, i < 5) for i in range(10)])
+    assert abs(metrics.ece(conf, correct, n_bins=10) - 0.2) < 1e-12
 
 
 def test_ece_perfect_calibration_is_zero():
-    records = [_rec(1.0, True)] * 6
-    assert metrics.ece(records, n_bins=10) == 0.0
+    assert metrics.ece(np.ones(6), np.ones(6), n_bins=10) == 0.0
 
 
 def test_ece_confidence_one_falls_in_last_bin():
-    table = metrics.reliability_table([_rec(1.0, True)], n_bins=10)
+    table = metrics.reliability_table(np.ones(1), np.ones(1), n_bins=10)
     assert table[-1][0] == 1 and sum(row[0] for row in table) == 1
 
 
 def test_coverage_at_risk_oracle():
-    assert metrics.coverage_at_risk(ORACLE, 0.05) == 0.25
-    assert metrics.coverage_at_risk(ORACLE, 0.25) == 1.0
+    assert metrics.coverage_at_risk(*ORACLE, 0.05) == 0.25
+    assert metrics.coverage_at_risk(*ORACLE, 0.25) == 1.0
     # inclusive budget boundary
-    two = [_rec(0.9, False), _rec(0.8, True)]
-    assert metrics.coverage_at_risk(two, 0.5) == 1.0
-    assert metrics.coverage_at_risk(two, 0.49) == 0.0
+    two = _scores([(0.9, False), (0.8, True)])
+    assert metrics.coverage_at_risk(*two, 0.5) == 1.0
+    assert metrics.coverage_at_risk(*two, 0.49) == 0.0
 
 
 def test_risk_coverage_auc_oracle():
-    assert abs(metrics.risk_coverage_auc(ORACLE) - 13.0 / 48.0) < 1e-15
+    assert abs(metrics.risk_coverage_auc(*ORACLE) - 13.0 / 48.0) < 1e-15
 
 
 def test_pessimistic_tie_break():
-    tied = [_rec(0.8, True), _rec(0.8, False)]
-    assert metrics.coverage_at_risk(tied, 0.0) == 0.0
-    assert abs(metrics.risk_coverage_auc(tied) - 0.75) < 1e-15
-    curve = metrics.risk_coverage_curve(tied)
-    assert curve[0].risk == 1.0 and curve[1].risk == 0.5
+    tied = _scores([(0.8, True), (0.8, False)])
+    assert metrics.coverage_at_risk(*tied, 0.0) == 0.0
+    assert abs(metrics.risk_coverage_auc(*tied) - 0.75) < 1e-15
+    curve = metrics.risk_coverage_curve(*tied)
+    assert curve[0][1] == 1.0 and curve[1][1] == 0.5
 
 
 def test_risk_coverage_curve_shape():
-    curve = metrics.risk_coverage_curve(ORACLE)
-    assert [p.coverage for p in curve] == [0.25, 0.5, 0.75, 1.0]
-    assert abs(np.mean([p.risk for p in curve]) - metrics.risk_coverage_auc(ORACLE)) < 1e-15
+    curve = metrics.risk_coverage_curve(*ORACLE)
+    assert [coverage for coverage, _ in curve] == [0.25, 0.5, 0.75, 1.0]
+    assert abs(np.mean([risk for _, risk in curve]) - metrics.risk_coverage_auc(*ORACLE)) < 1e-15
 
 
 def test_accuracy_nll_brier_oracles():
-    batch = PredictionBatch(
-        probs=np.array([[0.25, 0.75], [0.9, 0.1]]), labels=np.array([1, 1])
-    )
-    assert metrics.accuracy(batch) == 0.5
+    probs, labels = np.array([[0.25, 0.75], [0.9, 0.1]]), np.array([1, 1])
+    assert metrics.accuracy(probs, labels) == 0.5
     expected_nll = -(math.log(0.75) + math.log(0.1)) / 2.0
-    assert abs(metrics.nll(batch) - expected_nll) < 1e-15
+    assert abs(metrics.nll(probs, labels) - expected_nll) < 1e-15
     expected_brier = ((0.25 ** 2 + 0.25 ** 2) + (0.9 ** 2 + 0.9 ** 2)) / 2.0
-    assert abs(metrics.brier(batch) - expected_brier) < 1e-15
+    assert abs(metrics.brier(probs, labels) - expected_brier) < 1e-15
 
 
 def test_brier_range_endpoints():
-    right = PredictionBatch(probs=np.array([[1.0, 0.0]]), labels=np.array([0]))
-    wrong = PredictionBatch(probs=np.array([[1.0, 0.0]]), labels=np.array([1]))
-    uniform = PredictionBatch(probs=np.array([[0.5, 0.5]]), labels=np.array([0]))
-    assert metrics.brier(right) == 0.0
-    assert metrics.brier(wrong) == 2.0
-    assert metrics.brier(uniform) == 0.5
+    onehot = np.array([[1.0, 0.0]])
+    assert metrics.brier(onehot, np.array([0])) == 0.0
+    assert metrics.brier(onehot, np.array([1])) == 2.0
+    assert metrics.brier(np.array([[0.5, 0.5]]), np.array([0])) == 0.5
 
 
 def test_nll_clamps_zero_probability():
-    batch = PredictionBatch(probs=np.array([[1.0, 0.0]]), labels=np.array([1]))
-    assert abs(metrics.nll(batch) + math.log(1e-12)) < 1e-9
+    probs, labels = np.array([[1.0, 0.0]]), np.array([1])
+    assert abs(metrics.nll(probs, labels) + math.log(1e-12)) < 1e-9
 
 
 # --------------------------------------------------------------- property --
@@ -144,72 +135,71 @@ def test_matches_brute_force_on_random_instances():
         r = rng.seed_rng(1000 + i)
         n = 2 + int(rng.sample_uniform(rng.child(r, 10), 1)[0] * 63)
         c = 2 + int(rng.sample_uniform(rng.child(r, 11), 1)[0] * 4)
-        records = _random_records(2000 + i, n, c)
+        conf, correct = _random_scores(2000 + i, n, c)
         for budget in (0.0, 0.01, 0.05, 0.1, 0.5):
-            got = metrics.coverage_at_risk(records, budget)
-            assert abs(got - _bf_coverage_at_risk(records, budget)) < 1e-12
-        assert abs(metrics.risk_coverage_auc(records) - _bf_auc(records)) < 1e-12
+            got = metrics.coverage_at_risk(conf, correct, budget)
+            assert abs(got - _bf_coverage_at_risk(conf, correct, budget)) < 1e-12
+        assert abs(metrics.risk_coverage_auc(conf, correct) - _bf_auc(conf, correct)) < 1e-12
         for bins in (1, 7, 10):
-            assert abs(metrics.ece(records, bins) - _bf_ece(records, bins)) < 1e-12
+            assert abs(metrics.ece(conf, correct, bins) - _bf_ece(conf, correct, bins)) < 1e-12
 
 
 def test_coverage_monotone_in_budget():
-    records = _random_records(5, 200, 4)
-    c1 = metrics.coverage_at_risk(records, 0.01)
-    c5 = metrics.coverage_at_risk(records, 0.05)
-    c10 = metrics.coverage_at_risk(records, 0.10)
+    scores = _random_scores(5, 200, 4)
+    c1 = metrics.coverage_at_risk(*scores, 0.01)
+    c5 = metrics.coverage_at_risk(*scores, 0.05)
+    c10 = metrics.coverage_at_risk(*scores, 0.10)
     assert 0.0 <= c1 <= c5 <= c10 <= 1.0
 
 
 def test_permutation_invariance():
-    records = _random_records(6, 100, 3)
-    shuffled = list(reversed(records))
-    assert abs(metrics.ece(records) - metrics.ece(shuffled)) < 1e-12
-    assert metrics.risk_coverage_auc(records) == metrics.risk_coverage_auc(shuffled)
-    assert metrics.coverage_at_risk(records, 0.1) == metrics.coverage_at_risk(shuffled, 0.1)
+    conf, correct = _random_scores(6, 100, 3)
+    shuffled = (conf[::-1], correct[::-1])
+    assert abs(metrics.ece(conf, correct) - metrics.ece(*shuffled)) < 1e-12
+    assert metrics.risk_coverage_auc(conf, correct) == metrics.risk_coverage_auc(*shuffled)
+    assert (metrics.coverage_at_risk(conf, correct, 0.1)
+            == metrics.coverage_at_risk(*shuffled, 0.1))
 
 
 def test_reliability_table_consistent_with_ece():
-    records = _random_records(7, 500, 4)
-    table = metrics.reliability_table(records, n_bins=10)
+    scores = _random_scores(7, 500, 4)
+    table = metrics.reliability_table(*scores, n_bins=10)
     assert sum(row[0] for row in table) == 500
-    n = len(records)
+    n = scores[0].shape[0]
     recomposed = sum(
         (cnt / n) * abs(acc - conf) for cnt, conf, acc in table if cnt
     )
-    assert abs(recomposed - metrics.ece(records, 10)) < 1e-12
+    assert abs(recomposed - metrics.ece(*scores, 10)) < 1e-12
 
 
 def test_calibrated_stream_has_low_ece():
     r = rng.seed_rng(8)
     conf = rng.sample_uniform(rng.child(r, 0), 100_000)
     coin = rng.sample_uniform(rng.child(r, 1), 100_000)
-    records = [
-        EvalRecord(float(c), 0, 0 if u < c else 1) for c, u in zip(conf, coin)
-    ]
-    assert metrics.ece(records, n_bins=10) < 0.03
+    correct = (coin < conf).astype(np.float64)
+    assert metrics.ece(conf, correct, n_bins=10) < 0.03
 
 
 def test_records_from_probs():
     probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-    records = metrics.records_from_probs(probs, np.array([1, 1]))
-    assert [r.predicted for r in records] == [1, 0]
-    assert [r.gold for r in records] == [1, 1]
-    assert records[0].confidence == 0.8
+    conf, correct = metrics.records_from_probs(probs, np.array([1, 1]))
+    # arg-max classes are [1, 0] against gold [1, 1]
+    assert conf.tolist() == [0.8, 0.6]
+    assert correct.tolist() == [1.0, 0.0]
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        metrics.ece([])
+        metrics.ece(np.zeros(0), np.zeros(0))
     with pytest.raises(ValueError):
-        metrics.ece(ORACLE, n_bins=0)
+        metrics.ece(*ORACLE, n_bins=0)
     with pytest.raises(ValueError):
-        metrics.coverage_at_risk(ORACLE, 1.5)
+        metrics.coverage_at_risk(*ORACLE, 1.5)
     with pytest.raises(ValueError):
-        metrics.ece([_rec(1.2, True)])
-    bad = PredictionBatch(probs=np.array([[0.5, 0.6]]), labels=np.array([0]))
+        metrics.ece(np.array([1.2]), np.ones(1))
     with pytest.raises(ValueError):
-        metrics.accuracy(bad)
-    empty = PredictionBatch(probs=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
+        metrics.risk_coverage_auc(np.array([0.9, 0.8]), np.ones(3))
     with pytest.raises(ValueError):
-        metrics.nll(empty)
+        metrics.accuracy(np.array([[0.5, 0.6]]), np.array([0]))
+    with pytest.raises(ValueError):
+        metrics.nll(np.zeros((0, 2)), np.zeros(0, dtype=int))
