@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -82,8 +83,8 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("--mc-samples must be >= 1")
         cfg.eval.mc_samples = [args.mc_samples]
     if getattr(args, "temperature", None) is not None:
-        if args.temperature <= 0:
-            raise ConfigError("--temperature must be > 0")
+        if not 0 < args.temperature < math.inf:
+            raise ConfigError("--temperature must be finite and > 0")
         cfg.eval.temperatures = [args.temperature]
     return cfg
 
@@ -120,8 +121,7 @@ def _save_artifact(art: experiment.TrainedArtifact, out_dir: str) -> str:
 def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
-    methods = ("adamw", "ivon") if cfg.optimizer == "both" else (cfg.optimizer,)
-    for method in methods:
+    for method in experiment.methods(cfg):
         art = experiment.train_one(cfg, seed, method, data=data)
         losses = ", ".join(f"{v:.4f}" for v in art.epoch_losses)
         print(f"{method} seed {seed}: {art.steps} steps, epoch losses [{losses}]")
@@ -134,9 +134,8 @@ def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
     dev = data[1]
-    methods = ("adamw", "ivon") if cfg.optimizer == "both" else (cfg.optimizer,)
     results = []
-    for method in methods:
+    for method in experiment.methods(cfg):
         art = experiment.train_one(cfg, seed, method, data=data)
         results.extend(experiment.evaluate_one(art, dev, cfg))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional, Tuple
 
@@ -88,13 +89,20 @@ _SCHEMA = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _coerce(raw: str, kind, where: str):
     raw = raw.strip()
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
@@ -105,7 +113,7 @@ def _coerce(raw: str, kind, where: str):
         if kind == "int_list":
             return [int(v) for v in raw.split(",") if v.strip()] if raw else []
         if kind == "float_list":
-            return [float(v) for v in raw.split(",") if v.strip()] if raw else []
+            return [_finite(v) for v in raw.split(",") if v.strip()] if raw else []
         return raw
     except ValueError:
         raise ConfigError(f"bad value for {where}: {raw!r}") from None

@@ -97,6 +97,11 @@ def load_data(cfg: ExperimentConfig) -> Tuple[model.Batch, model.Batch]:
     return train, dev
 
 
+def methods(cfg: ExperimentConfig) -> Tuple[str, ...]:
+    """The optimizers a run trains, in report order."""
+    return ("adamw", "ivon") if cfg.optimizer == "both" else (cfg.optimizer,)
+
+
 def model_sizes(cfg: ExperimentConfig, d: int, n_classes: int) -> Tuple[int, ...]:
     return (d,) + tuple(cfg.hidden_sizes) + (n_classes,)
 
@@ -266,16 +271,11 @@ def evaluate_one(
 
 
 def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
-    order: List[str] = []
     by_method: Dict[str, List[EvalResult]] = {}
     for ev in sorted(evals, key=lambda e: e.seed):
-        if ev.method not in by_method:
-            order.append(ev.method)
-            by_method[ev.method] = []
-        by_method[ev.method].append(ev)
+        by_method.setdefault(ev.method, []).append(ev)
     rows = []
-    for method in order:
-        group = by_method[method]
+    for method, group in by_method.items():
         mean, sd = {}, {}
         for key in METRIC_KEYS:
             vals = np.array([g.values[key] for g in group])
@@ -290,12 +290,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Expe
     from . import report  # local import keeps module load order simple
 
     train, dev = load_data(cfg)
-    methods = ("adamw", "ivon") if cfg.optimizer == "both" else (cfg.optimizer,)
     evals: List[EvalResult] = []
     artifacts: Dict[Tuple[str, int], TrainedArtifact] = {}
     failures: List[dict] = []
     for seed in sorted(cfg.seeds):
-        for method in methods:
+        for method in methods(cfg):
             try:
                 art = train_one(cfg, seed, method, data=(train, dev))
                 artifacts[(method, seed)] = art

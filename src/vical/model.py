@@ -5,14 +5,21 @@ model-agnostic. The layout is layer-major: for each layer, the weight
 matrix in row-major order (shape fan_in x fan_out), then the bias.
 ``unflatten`` returns views into the flat buffer, never copies.
 
-The LoRA variant keeps a frozen base vector and trains low-rank factors
-A (fan_in x r) and B (r x out) per layer, with the effective weight
-W + (alpha/r) * A @ B. Only A and B entries enter the trainable flat
-vector; biases stay frozen with the base.
+One forward pass (``_logits``) and one backward pass (``_layer_grads``)
+serve both models; they take per-layer weights and biases and return
+logits, or the loss and per-layer (dW, db).
+
+The LoRA variant is only a weight map around them. It keeps a frozen
+base vector and trains low-rank factors A (fan_in x r) and B (r x out)
+per layer. On the way in, the effective weight is W + (alpha/r) * A @ B;
+on the way out, dW becomes (alpha/r) * dW @ B^T for A and
+(alpha/r) * A^T @ dW for B. Only A and B entries enter the trainable
+flat vector; biases stay frozen with the base.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -56,22 +63,26 @@ def n_params(sizes: Sequence[int]) -> int:
     return sum(fi * fo + fo for fi, fo in layer_shapes(sizes))
 
 
-def unflatten(theta: np.ndarray, sizes: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views (no copies)."""
-    if theta.shape != (n_params(sizes),):
-        raise ValueError(
-            f"flat vector has length {theta.shape}, sizes {tuple(sizes)} "
-            f"need {n_params(sizes)}"
-        )
+def _views(flat: np.ndarray, want: int, shapes) -> List[Tuple[np.ndarray, ...]]:
+    """Per-layer views into ``flat``; ``shapes`` lists each layer's block shapes."""
+    if flat.shape != (want,):
+        raise ValueError(f"flat vector has length {flat.shape}, need {want}")
     layers = []
     off = 0
-    for fi, fo in layer_shapes(sizes):
-        w = theta[off:off + fi * fo].reshape(fi, fo)
-        off += fi * fo
-        b = theta[off:off + fo]
-        off += fo
-        layers.append((w, b))
+    for blocks in shapes:
+        views = []
+        for shape in blocks:
+            size = math.prod(shape)
+            views.append(flat[off:off + size].reshape(shape))
+            off += size
+        layers.append(tuple(views))
     return layers
+
+
+def unflatten(theta: np.ndarray, sizes: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Split a flat vector into per-layer (W, b) views (no copies)."""
+    return _views(theta, n_params(sizes),
+                  [((fi, fo), (fo,)) for fi, fo in layer_shapes(sizes)])
 
 
 def flatten(layers: Sequence[Tuple[np.ndarray, np.ndarray]], sizes: Sequence[int]) -> np.ndarray:
@@ -79,16 +90,10 @@ def flatten(layers: Sequence[Tuple[np.ndarray, np.ndarray]], sizes: Sequence[int
     shapes = layer_shapes(sizes)
     if len(layers) != len(shapes):
         raise ValueError("layer count does not match sizes")
-    out = np.empty(n_params(sizes), dtype=np.float64)
-    off = 0
     for (w, b), (fi, fo) in zip(layers, shapes):
         if w.shape != (fi, fo) or b.shape != (fo,):
             raise ValueError(f"layer shape mismatch: got {w.shape}/{b.shape}")
-        out[off:off + fi * fo] = np.asarray(w, dtype=np.float64).ravel()
-        off += fi * fo
-        out[off:off + fo] = np.asarray(b, dtype=np.float64)
-        off += fo
-    return out
+    return np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
 
 
 def init_mlp(sizes: Sequence[int], rng: vrng.RngState) -> MlpParams:
@@ -131,12 +136,10 @@ def _forward_stack(weights, biases, features: np.ndarray):
     return acts
 
 
-def forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    """Logits [n, C] for a feature matrix [n, d]."""
-    x = _check_features(features, params.sizes[0])
-    layers = unflatten(params.theta, params.sizes)
-    acts = _forward_stack([w for w, _ in layers], [b for _, b in layers], x)
-    logits = acts[-1]
+def _logits(weights, biases, features: np.ndarray) -> np.ndarray:
+    """Checked features in, finite logits out."""
+    x = _check_features(features, weights[0].shape[0])
+    logits = _forward_stack(weights, biases, x)[-1]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
     return logits
@@ -153,58 +156,48 @@ def _ce_from_logits(logits: np.ndarray, labels: np.ndarray):
     return loss, dz
 
 
-def loss_and_grad(params: MlpParams, batch: Batch) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy and its exact gradient as a flat vector."""
-    sizes = params.sizes
-    x = _check_features(batch.features, sizes[0])
-    y = _check_labels(batch.labels, x.shape[0], sizes[-1])
+def _layer_grads(weights, biases, batch: Batch):
+    """Mean cross-entropy and the per-layer (dW, db) for these weights."""
+    x = _check_features(batch.features, weights[0].shape[0])
+    y = _check_labels(batch.labels, x.shape[0], weights[-1].shape[1])
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    layers = unflatten(params.theta, sizes)
-    weights = [w for w, _ in layers]
-    acts = _forward_stack(weights, [b for _, b in layers], x)
+    acts = _forward_stack(weights, biases, x)
     loss, dz = _ce_from_logits(acts[-1], y)
-
-    grad = np.zeros_like(params.theta)
-    gviews = unflatten(grad, sizes)
+    grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        gw, gb = gviews[i]
-        gw[:, :] = acts[i].T @ dz
-        gb[:] = dz.sum(axis=0)
+        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
         if i > 0:
-            da = dz @ weights[i].T
-            dz = da * (1.0 - acts[i] * acts[i])  # tanh'
-    return loss, grad
+            dz = (dz @ weights[i].T) * (1.0 - acts[i] * acts[i])  # tanh'
+    return loss, grads
+
+
+def forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
+    """Logits [n, C] for a feature matrix [n, d]."""
+    weights, biases = zip(*unflatten(params.theta, params.sizes))
+    return _logits(weights, biases, features)
+
+
+def loss_and_grad(params: MlpParams, batch: Batch) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy and its exact gradient as a flat vector."""
+    weights, biases = zip(*unflatten(params.theta, params.sizes))
+    loss, grads = _layer_grads(weights, biases, batch)
+    return loss, flatten(grads, params.sizes)
 
 
 # ------------------------------------------------------------------ LoRA ---
 
-def lora_shapes(sizes: Sequence[int], rank: int) -> List[Tuple[int, int]]:
+def lora_n_params(sizes: Sequence[int], rank: int) -> int:
     if rank < 1:
         raise ValueError("LoRA rank must be >= 1")
-    return layer_shapes(sizes)
-
-
-def lora_n_params(sizes: Sequence[int], rank: int) -> int:
-    return sum(rank * (fi + fo) for fi, fo in lora_shapes(sizes, rank))
+    return sum(rank * (fi + fo) for fi, fo in layer_shapes(sizes))
 
 
 def lora_unflatten(adapter: LoraAdapter) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Per-layer (A, B) views into the adapter's flat vector."""
-    shapes = lora_shapes(adapter.sizes, adapter.rank)
-    want = lora_n_params(adapter.sizes, adapter.rank)
-    if adapter.phi.shape != (want,):
-        raise ValueError(f"adapter vector length {adapter.phi.shape}, need {want}")
     r = adapter.rank
-    pairs = []
-    off = 0
-    for fi, fo in shapes:
-        a = adapter.phi[off:off + fi * r].reshape(fi, r)
-        off += fi * r
-        b = adapter.phi[off:off + r * fo].reshape(r, fo)
-        off += r * fo
-        pairs.append((a, b))
-    return pairs
+    return _views(adapter.phi, lora_n_params(adapter.sizes, r),
+                  [((fi, r), (r, fo)) for fi, fo in layer_shapes(adapter.sizes)])
 
 
 def init_lora(sizes: Sequence[int], rank: int, alpha: float, rng: vrng.RngState) -> LoraAdapter:
@@ -219,6 +212,7 @@ def init_lora(sizes: Sequence[int], rank: int, alpha: float, rng: vrng.RngState)
 
 
 def _effective_weights(base: MlpParams, adapter: LoraAdapter):
+    """W + (alpha/r) A @ B per layer, the frozen biases, the (A, B) views and alpha/r."""
     if adapter.sizes != base.sizes:
         raise ValueError("adapter sizes do not match base model")
     scale = adapter.alpha / adapter.rank
@@ -230,34 +224,15 @@ def _effective_weights(base: MlpParams, adapter: LoraAdapter):
 
 
 def lora_forward(base: MlpParams, adapter: LoraAdapter, features: np.ndarray) -> np.ndarray:
-    x = _check_features(features, base.sizes[0])
     weights, biases, _, _ = _effective_weights(base, adapter)
-    logits = _forward_stack(weights, biases, x)[-1]
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in LoRA forward pass")
-    return logits
+    return _logits(weights, biases, features)
 
 
 def lora_loss_and_grad(base: MlpParams, adapter: LoraAdapter, batch: Batch) -> Tuple[float, np.ndarray]:
     """Loss with adapted weights; gradient only over the (A, B) entries."""
-    x = _check_features(batch.features, base.sizes[0])
-    y = _check_labels(batch.labels, x.shape[0], base.sizes[-1])
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
     weights, biases, pairs, scale = _effective_weights(base, adapter)
-    acts = _forward_stack(weights, biases, x)
-    loss, dz = _ce_from_logits(acts[-1], y)
-
-    grad = np.zeros_like(adapter.phi)
-    gadapter = LoraAdapter(adapter.sizes, adapter.rank, adapter.alpha, grad)
-    gpairs = lora_unflatten(gadapter)
-    for i in range(len(weights) - 1, -1, -1):
-        dw = acts[i].T @ dz  # gradient wrt the effective weight
-        a, b = pairs[i]
-        ga, gb = gpairs[i]
-        ga[:, :] = scale * (dw @ b.T)
-        gb[:, :] = scale * (a.T @ dw)
-        if i > 0:
-            da = dz @ weights[i].T
-            dz = da * (1.0 - acts[i] * acts[i])
-    return loss, grad
+    loss, grads = _layer_grads(weights, biases, batch)
+    blocks = []
+    for (a, b), (dw, _) in zip(pairs, grads):
+        blocks += [scale * (dw @ b.T), scale * (a.T @ dw)]
+    return loss, np.concatenate([g.ravel() for g in blocks])

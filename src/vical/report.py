@@ -126,9 +126,11 @@ def _versions() -> dict:
 
 
 def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Write report.txt, report.csv, and metadata.json; return the paths."""
-    if not result.rows:
-        raise ValueError("no report rows to emit (all runs failed?)")
+    """Write report.txt, report.csv, and metadata.json; return the paths.
+
+    When every run failed, the table and CSV have no rows and the
+    WARNING line and metadata.json name the failures.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "table": os.path.join(out_dir, "report.txt"),

@@ -94,6 +94,14 @@ def test_load_config_overrides_defaults(tmp_path):
     assert cfg.seeds == [0, 1, 2] and cfg.optimizer == "ivon"
 
 
+def test_shipped_configs_load():
+    here = os.path.dirname(os.path.abspath(__file__))
+    configs = os.path.join(os.path.dirname(here), "configs")
+    default = load_config(os.path.join(configs, "default.ini"))
+    assert config_dict(default) == config_dict(ExperimentConfig())
+    assert load_config(os.path.join(configs, "large-ess.ini")).ivon.ess == 1e7
+
+
 def test_load_config_rejects_unknown_names(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[nosuch]\nx = 1\n", encoding="utf-8")
@@ -500,12 +508,33 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", "mc_samples",
                         "--out", str(tmp_path / "sweep_out")]) == 2
 
+    # non-finite floats exit 2 before any training, from the INI or the flag
+    for bad in ("nan", "inf"):
+        for body in (SMALL_INI.replace("separation = 2.5", f"separation = {bad}"),
+                     SMALL_INI + f"\n[eval]\ntemperatures = {bad}\n"):
+            assert cli.run_cli(["run", "--config", _write_ini(tmp_path, body),
+                                "--out", str(tmp_path / "nonfinite")]) == 2, body
+        assert cli.run_cli(["eval", "--config", _write_ini(tmp_path), "--seed", "0",
+                            "--temperature", bad]) == 2, bad
+
 
 def test_cli_failed_run_exit_code(tmp_path):
     ini = _write_ini(tmp_path, SMALL_INI + "\n[adamw]\nlr = 1e308\n")
     out = str(tmp_path / "failed_run")
     assert cli.run_cli(["run", "--config", ini, "--out", out,
                         "--seed", "0"]) == 4
+
+    # every run diverges: still exit 4, with the failure in metadata.json
+    ini = _write_ini(tmp_path, SMALL_INI.replace(
+        "seeds = 0,1", "seeds = 0,1\noptimizer = adamw") + "\n[adamw]\nlr = 1e308\n")
+    out = str(tmp_path / "all_failed")
+    assert cli.run_cli(["run", "--config", ini, "--out", out,
+                        "--seed", "0"]) == 4
+    with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
+    assert [f["method"] for f in meta["failures"]] == ["adamw"]
+    with open(os.path.join(out, "report.txt"), encoding="utf-8") as fh:
+        assert "WARNING: 1 failed run(s) excluded: adamw/seed0" in fh.read()
 
 
 @pytest.mark.parametrize("dev_features, dev_labels", [

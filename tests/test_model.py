@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from vical import model, rng
+from vical import data, experiment, model, rng
+from vical.config import ExperimentConfig
 
 
 def _toy_batch(key, n, d, c):
@@ -160,3 +162,67 @@ def test_lora_gradient_matches_finite_differences():
 def test_init_lora_validates_rank():
     with pytest.raises(ValueError):
         model.init_lora((4, 3), 0, 1.0, rng.seed_rng(1))
+
+
+def _digest(loss, *arrays):
+    h = hashlib.sha256(repr(loss).encode("ascii"))
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pin_case(sizes):
+    params = model.init_mlp(sizes, rng.seed_rng(61))
+    params.theta[:] += rng.sample_standard_normal(rng.seed_rng(62), params.theta.size) * 0.1
+    adapter = model.init_lora(sizes, 2, 3.0, rng.seed_rng(63))
+    adapter.phi[:] = rng.sample_standard_normal(rng.seed_rng(64), adapter.phi.size) * 0.3
+    batch = _toy_batch(65, 9, sizes[0], sizes[-1])
+    mlp_loss, mlp_grad = model.loss_and_grad(params, batch)
+    lora_loss, lora_grad = model.lora_loss_and_grad(params, adapter, batch)
+    return {
+        "mlp": _digest(mlp_loss, mlp_grad, model.forward(params, batch.features)),
+        "lora": _digest(lora_loss, lora_grad,
+                        model.lora_forward(params, adapter, batch.features)),
+    }
+
+
+# sha256 of repr(loss), the gradient bytes and the logits bytes, recorded
+# before the MLP and LoRA paths shared one forward/backward
+MODEL_PINS = {
+    (5, 3): {
+        "mlp": "d88f8888f9f80a40b8498d39dd4a09979d70a46993c337451c4e92f6b9b325d3",
+        "lora": "b57bc9563439fae0d4853ec3451c9b5a84c7688052c5ad89478c444542ae1b39",
+    },
+    (5, 6, 4, 3): {
+        "mlp": "95850c9f4d64967a50e9ac65a82a879e4823d0558662a1ae0da07de5fb58eefe",
+        "lora": "ff51336b6ed0b11fc0e7043db3e91997281b26e7cef50a4e35f17b80b7ed8025",
+    },
+}
+
+# sha256 of the final trainable vector of a 1-epoch LoRA train_one
+LORA_TRAIN_PINS = {
+    "adamw": "dd479eb0ad51dd02db05fd30eb0be7098ab0f7b6f9d8a3fc4d1e3e9c5de6e0f5",
+    "ivon": "7489e61f044444694ad63e40fa074d26e5ec1a5d98e0f5382ecc2c107056996d",
+}
+
+
+def test_model_outputs_pinned():
+    for sizes, want in MODEL_PINS.items():
+        assert _pin_case(sizes) == want, sizes
+
+
+def test_lora_training_pinned():
+    cfg = ExperimentConfig()
+    cfg.dataset = data.DatasetSpec(
+        n_classes=3, n_features=6, n_train=96, n_dev=60,
+        separation=2.5, label_noise=0.1, seed=5,
+    )
+    cfg.hidden_sizes = (12,)
+    cfg.epochs = 1
+    cfg.batch_size = 8
+    cfg.lora, cfg.lora_rank, cfg.lora_alpha = True, 2, 4.0
+    train_data = experiment.load_data(cfg)
+    for method, want in LORA_TRAIN_PINS.items():
+        art = experiment.train_one(cfg, 0, method, data=train_data)
+        final = art.params if method == "adamw" else art.posterior.mean
+        assert hashlib.sha256(final.tobytes()).hexdigest() == want, method
