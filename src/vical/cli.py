@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from typing import List, Optional
@@ -16,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import experiment, metrics, report
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .data import DataError, generate_dataset, save_csv
 from .experiment import TrainingDiverged
 
@@ -67,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace) -> ExperimentConfig:
+    """The loaded config with the command-line overrides, validated."""
     cfg = load_config(args.config)
     if getattr(args, "seeds", None) is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be >= 1")
         cfg.seeds = list(range(args.seeds))
     if getattr(args, "seed", None) is not None:
         cfg.seeds = [args.seed]
@@ -79,13 +77,10 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "optimizer", None):
         cfg.optimizer = args.optimizer
     if getattr(args, "mc_samples", None) is not None:
-        if args.mc_samples < 1:
-            raise ConfigError("--mc-samples must be >= 1")
         cfg.eval.mc_samples = [args.mc_samples]
     if getattr(args, "temperature", None) is not None:
-        if not 0 < args.temperature < math.inf:
-            raise ConfigError("--temperature must be finite and > 0")
         cfg.eval.temperatures = [args.temperature]
+    validate_config(cfg)
     return cfg
 
 

@@ -15,10 +15,10 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields, asdict
+from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
-from .data import DatasetSpec
+from .data import DataError, DatasetSpec, validate_spec
 from .optim import AdamwConfig, IvonConfig
 
 
@@ -68,55 +68,47 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
 
-_SCHEMA = {
-    "dataset": {
-        "n_classes": int, "n_features": int, "n_train": int, "n_dev": int,
-        "separation": float, "label_noise": float, "seed": int,
-        "train_csv": str, "dev_csv": str,
-    },
-    "model": {"hidden_sizes": "int_list", "lora": bool, "lora_rank": int,
-              "lora_alpha": float},
-    "adamw": {"lr": float, "beta1": float, "beta2": float, "eps": float,
-              "weight_decay": float},
-    "ivon": {"lr": float, "ess": float, "hess_init": float, "weight_decay": float,
-             "beta1": float, "beta2": float, "train_samples": int,
-             "grad_clip": float},
-    "train": {"epochs": int, "batch_size": int},
-    "eval": {"mc_samples": "int_list", "temperatures": "float_list",
-             "ece_bins": int, "risk_budgets": "float_list"},
-    "sweep": {"mc_grid": "int_list", "temperature_grid": "float_list"},
-    "run": {"seeds": "int_list", "optimizer": str, "out_dir": str},
+# INI section -> (the nested dataclass field it writes to, or None, and the
+# ExperimentConfig fields it writes directly). Key types come from the
+# dataclass annotations.
+_SECTIONS = {
+    "dataset": ("dataset", ("train_csv", "dev_csv")),
+    "model": (None, ("hidden_sizes", "lora", "lora_rank", "lora_alpha")),
+    "adamw": ("adamw", ()),
+    "ivon": ("ivon", ()),
+    "train": (None, ("epochs", "batch_size")),
+    "eval": ("eval", ()),
+    "sweep": ("sweep", ()),
+    "run": (None, ("seeds", "optimizer", "out_dir")),
 }
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
+def _section_keys(cfg: ExperimentConfig, section: str) -> dict:
+    """Each INI key of ``section`` mapped to the object that holds it."""
+    nested, top = _SECTIONS[section]
+    keys = {}
+    if nested:
+        obj = getattr(cfg, nested)
+        keys = {f.name: obj for f in fields(obj)}
+    keys.update((key, cfg) for key in top)
+    return keys
 
 
-def _coerce(raw: str, kind, where: str):
-    raw = raw.strip()
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return _finite(raw)
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
+def _parse(raw: str, hint):
+    """An INI value as the annotated type: int, float, bool, str,
+    Optional[str] or a comma-separated List/Tuple of int or float."""
+    origin = get_origin(hint)
+    if origin in (list, tuple):
+        item = get_args(hint)[0]
+        return origin(_parse(v.strip(), item) for v in raw.split(",") if v.strip())
+    if hint is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES  # 1/yes/true/on, 0/no/false/off
+        if raw.lower() not in states:
             raise ValueError(raw)
-        if kind == "int_list":
-            return [int(v) for v in raw.split(",") if v.strip()] if raw else []
-        if kind == "float_list":
-            return [_finite(v) for v in raw.split(",") if v.strip()] if raw else []
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {where}: {raw!r}") from None
+        return states[raw.lower()]
+    if hint == Optional[str]:
+        return raw or None  # an empty value means unset
+    return hint(raw) if hint in (int, float) else raw
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:
@@ -129,48 +121,34 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
+        targets = _section_keys(cfg, section)
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in targets:
                 raise ConfigError(f"unknown key {section}.{key}")
-            value = _coerce(raw, _SCHEMA[section][key], f"{section}.{key}")
-            _apply(cfg, section, key, value)
+            obj = targets[key]
+            try:
+                value = _parse(raw.strip(), get_type_hints(type(obj))[key])
+            except ValueError:
+                raise ConfigError(f"bad value for {section}.{key}: {raw.strip()!r}") from None
+            setattr(obj, key, value)
     validate_config(cfg)
     return cfg
 
 
-def _apply(cfg: ExperimentConfig, section: str, key: str, value) -> None:
-    if section == "dataset":
-        if key in ("train_csv", "dev_csv"):
-            setattr(cfg, key, value)
-        else:
-            setattr(cfg.dataset, key, value)
-    elif section == "model":
-        if key == "hidden_sizes":
-            cfg.hidden_sizes = tuple(value)
-        else:
-            setattr(cfg, key, value)
-    elif section == "adamw":
-        setattr(cfg.adamw, key, value)
-    elif section == "ivon":
-        setattr(cfg.ivon, key, value)
-    elif section == "train":
-        setattr(cfg, key, value)
-    elif section == "eval":
-        setattr(cfg.eval, key, value)
-    elif section == "sweep":
-        setattr(cfg.sweep, key, value)
-    elif section == "run":
-        setattr(cfg, key, value)
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
-    ds = cfg.dataset
-    if ds.n_classes < 2:
-        raise ConfigError("dataset.n_classes must be >= 2")
-    if not 0.0 <= ds.label_noise < 1.0:
-        raise ConfigError("dataset.label_noise must lie in [0, 1)")
+    """Every check a config must pass before any data or training."""
+    for section in _SECTIONS:
+        for key, obj in _section_keys(cfg, section).items():
+            value = getattr(obj, key)
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{section}.{key} must be finite")
+    try:
+        validate_spec(cfg.dataset)
+    except DataError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
     if (cfg.train_csv is None) != (cfg.dev_csv is None):
         raise ConfigError("set both dataset.train_csv and dataset.dev_csv, or neither")
     if any(h < 1 for h in cfg.hidden_sizes):
@@ -196,8 +174,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("train.epochs and train.batch_size must be >= 1")
     if not cfg.eval.mc_samples or any(k < 1 for k in cfg.eval.mc_samples):
         raise ConfigError("eval.mc_samples must be a non-empty list of counts >= 1")
+    if len(set(cfg.eval.mc_samples)) != len(cfg.eval.mc_samples):
+        raise ConfigError("eval.mc_samples contains duplicates")
     if not cfg.eval.temperatures or any(t <= 0 for t in cfg.eval.temperatures):
         raise ConfigError("eval.temperatures must be positive")
+    # each temperature names its report rows by f"{t:g}" (experiment.mc_tag)
+    if len({f"{t:g}" for t in cfg.eval.temperatures}) != len(cfg.eval.temperatures):
+        raise ConfigError("eval.temperatures must differ in their first 6 "
+                          "significant digits (they name the report rows)")
     if cfg.eval.ece_bins < 1:
         raise ConfigError("eval.ece_bins must be >= 1")
     if len(cfg.eval.risk_budgets) != 3:

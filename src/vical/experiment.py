@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as vdata
 from . import metrics, model, optim, predict, rng as vrng
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -289,6 +289,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Expe
     """Train and evaluate every (seed, method) pair, aggregate, write reports."""
     from . import report  # local import keeps module load order simple
 
+    validate_config(cfg)
     train, dev = load_data(cfg)
     evals: List[EvalResult] = []
     artifacts: Dict[Tuple[str, int], TrainedArtifact] = {}
@@ -326,6 +327,7 @@ def sweep(
     """
     from . import report
 
+    validate_config(cfg)
     if axis not in ("mc_samples", "temperature"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:

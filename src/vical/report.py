@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -61,37 +61,51 @@ def _csv_line(cells: Sequence) -> str:
     return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to a temp file next to ``path``, then rename it over
+    ``path``: a reader sees the old file or the new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """All lines are formatted before the file is touched, so a row that
+    raises leaves ``path`` as it was."""
+    _write_text(path, "".join(_csv_line(cells) + "\n" for cells in [header, *rows]))
+
+
 def write_report_csv(rows: Sequence[ReportRow], path: str) -> None:
     header = (["method", "seed_count"] + list(METRIC_KEYS)
               + [f"{k}_sd" for k in METRIC_KEYS])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [row.method, row.seed_count]
-            cells += [float(row.mean[k]) for k in METRIC_KEYS]
-            cells += [float(row.sd[k]) for k in METRIC_KEYS]
-            fh.write(_csv_line(cells) + "\n")
+    _write_csv(path, header, (
+        [row.method, row.seed_count]
+        + [float(row.mean[k]) for k in METRIC_KEYS]
+        + [float(row.sd[k]) for k in METRIC_KEYS]
+        for row in rows))
 
 
 def write_sweep_csv(rows: List[dict], axis: str, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("axis_value,seed,acc,ece,c_at_5,auc\n")
-        for r in rows:
-            cells = [r["axis_value"], r["seed"], float(r["acc"]),
-                     float(r["ece"]), float(r["c_at_5"]), float(r["auc"])]
-            fh.write(_csv_line(cells) + "\n")
+    _write_csv(path, ["axis_value", "seed", "acc", "ece", "c_at_5", "auc"], (
+        [r["axis_value"], r["seed"], float(r["acc"]),
+         float(r["ece"]), float(r["c_at_5"]), float(r["auc"])]
+        for r in rows))
     return path
 
 
 def write_eval_csv(results: Sequence[EvalResult], path: str) -> None:
     """Per-seed metric rows of one evaluation, raw fractions."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,seed," + ",".join(METRIC_KEYS) + "\n")
-        for ev in results:
-            cells = [ev.method, ev.seed] + [float(ev.values[k]) for k in METRIC_KEYS]
-            fh.write(_csv_line(cells) + "\n")
+    _write_csv(path, ["method", "seed", *METRIC_KEYS], (
+        [ev.method, ev.seed] + [float(ev.values[k]) for k in METRIC_KEYS]
+        for ev in results))
 
 
 def write_curve_csv(scores_by_method: dict, path: str) -> None:
@@ -99,22 +113,21 @@ def write_curve_csv(scores_by_method: dict, path: str) -> None:
 
     ``scores_by_method`` maps a tag to its (confidence, correct) arrays.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,coverage,risk\n")
-        for method, (conf, correct) in scores_by_method.items():
-            for coverage, risk in risk_coverage_curve(conf, correct):
-                fh.write(_csv_line([method, coverage, risk]) + "\n")
+    rows = []
+    for method, (conf, correct) in scores_by_method.items():
+        for coverage, risk in risk_coverage_curve(conf, correct):
+            rows.append([method, coverage, risk])
+    _write_csv(path, ["method", "coverage", "risk"], rows)
 
 
 def write_reliability_csv(scores_by_method: dict, n_bins: int, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,bin_lo,bin_hi,count,mean_confidence,accuracy\n")
-        for method, (conf, correct) in scores_by_method.items():
-            rows = reliability_table(conf, correct, n_bins)
-            for b, (count, mean_conf, acc) in enumerate(rows):
-                cells = [method, float(b) / n_bins, float(b + 1) / n_bins,
-                         count, float(mean_conf), float(acc)]
-                fh.write(_csv_line(cells) + "\n")
+    rows = []
+    for method, (conf, correct) in scores_by_method.items():
+        for b, (count, mean_conf, acc) in enumerate(reliability_table(conf, correct, n_bins)):
+            rows.append([method, float(b) / n_bins, float(b + 1) / n_bins,
+                         count, float(mean_conf), float(acc)])
+    _write_csv(path, ["method", "bin_lo", "bin_hi", "count", "mean_confidence", "accuracy"],
+               rows)
 
 
 def _versions() -> dict:
@@ -141,8 +154,7 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
     if result.failures:
         tags = ", ".join(f"{f['method']}/seed{f['seed']}" for f in result.failures)
         table += f"WARNING: {len(result.failures)} failed run(s) excluded: {tags}\n"
-    with open(paths["table"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
+    _write_text(paths["table"], table)
     write_report_csv(result.rows, paths["csv"])
     meta = {
         "config_hash": config_hash(cfg),
@@ -153,7 +165,5 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
         "failures": result.failures,
         "versions": _versions(),
     }
-    with open(paths["metadata"], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(paths["metadata"], json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return paths

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vical import cli, data, experiment, model, report
+from vical import cli, config, data, experiment, model, report
 from vical.config import (
     ConfigError, ExperimentConfig, config_dict, config_hash, load_config,
     validate_config,
@@ -113,6 +113,12 @@ def test_load_config_rejects_unknown_names(tmp_path):
     path.write_text("[train]\nepochs = three\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad value for train.epochs"):
         load_config(str(path))
+    path.write_text("[model]\nlora = maybe\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad value for model.lora"):
+        load_config(str(path))
+    path.write_text("[ivon]\ness = nan\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="ivon.ess must be finite"):
+        load_config(str(path))
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.ini"))
 
@@ -149,6 +155,56 @@ def test_validate_config_invariants():
     cfg.sweep.temperature_grid = [-1.0]
     with pytest.raises(ConfigError, match="temperature_grid"):
         validate_config(cfg)
+
+    # two MC settings with one report tag would merge their rows
+    cfg = _small_cfg()
+    cfg.eval.mc_samples = [2, 2]
+    with pytest.raises(ConfigError, match="mc_samples contains duplicates"):
+        validate_config(cfg)
+    cfg = _small_cfg()
+    cfg.eval.temperatures = [10.0, 10.000001]
+    with pytest.raises(ConfigError, match="eval.temperatures must differ"):
+        validate_config(cfg)
+    # the dataset spec is checked here too, and every float must be finite
+    cfg = _small_cfg()
+    cfg.dataset.n_features = 2
+    with pytest.raises(ConfigError, match="n_features >= n_classes"):
+        validate_config(cfg)
+    for owner, key, where in (("ivon", "grad_clip", "ivon.grad_clip"),
+                              ("dataset", "separation", "dataset.separation")):
+        for bad in (float("nan"), float("inf")):
+            cfg = _small_cfg()
+            setattr(getattr(cfg, owner), key, bad)
+            with pytest.raises(ConfigError, match=f"{where} must be finite"):
+                validate_config(cfg)
+    cfg = _small_cfg(lora_alpha=float("nan"))
+    with pytest.raises(ConfigError, match="model.lora_alpha must be finite"):
+        validate_config(cfg)
+    cfg = _small_cfg()
+    cfg.sweep.temperature_grid = [1.0, float("inf")]
+    with pytest.raises(ConfigError, match="sweep.temperature_grid must be finite"):
+        validate_config(cfg)
+
+
+def test_default_ini_names_every_key_once():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.path.join(os.path.dirname(here), "configs", "default.ini")
+    named, section = [], None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#")[0].strip()
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                named.append(f"{section}.{line.split('=')[0].strip()}")
+    cfg = ExperimentConfig()
+    every = [f"{section}.{key}" for section in config._SECTIONS
+             for key in config._section_keys(cfg, section)]
+    assert sorted(named) == sorted(every)
+    assert len(set(every)) == len(every)
+    # and every config field is an INI key
+    fields = config_dict(cfg).values()
+    assert len(every) == sum(len(v) if isinstance(v, dict) else 1 for v in fields)
 
 
 # -------------------------------------------------------------- training ---
@@ -313,6 +369,20 @@ def test_sweep_validation(small_run):
         experiment.sweep(cfg, "mc_samples", [])
 
 
+def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config was rejected")
+
+    monkeypatch.setattr(experiment, "train_one", no_training)
+    cfg = _small_cfg(out_dir=str(tmp_path / "nan_clip"))
+    cfg.ivon.grad_clip = float("nan")  # `clip > 0.0` is False: would train unclipped
+    with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
+        experiment.run_experiment(cfg)
+    with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
+        experiment.sweep(cfg, "mc_samples", [1], out_dir=cfg.out_dir)
+    assert not os.path.exists(cfg.out_dir)
+
+
 def test_failed_runs_are_excluded_not_fatal(tmp_path):
     cfg = _small_cfg(out_dir=str(tmp_path / "failed"))
     cfg.seeds = [0]
@@ -385,6 +455,17 @@ def test_curve_and_reliability_exports(tmp_path):
         rel_lines = fh.read().splitlines()
     assert rel_lines[0] == "method,bin_lo,bin_hi,count,mean_confidence,accuracy"
     assert len(rel_lines) == 11
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "risk_coverage.csv"
+    path.write_text("old contents\n", encoding="utf-8")
+    scores = {"AdamW": (np.array([0.9, 0.4]), np.array([1.0, 0.0])),
+              "IVON Mean": (np.array([1.5, 0.4]), np.array([1.0, 0.0]))}
+    with pytest.raises(ValueError, match="confidence"):
+        report.write_curve_csv(scores, str(path))
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert os.listdir(tmp_path) == ["risk_coverage.csv"]
 
 
 # -------------------------------------------------------------------- cli --
@@ -495,9 +576,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli.run_cli(["run", "--config", missing_csv,
                         "--out", str(tmp_path / "x")]) == 3
 
-    ini = _write_ini(tmp_path)
-    assert cli.run_cli(["run", "--config", ini, "--seeds", "0"]) == 2
-
     # a bad sweep grid exits before any training
     grid_ini = _write_ini(tmp_path, SMALL_INI + "\n[sweep]\nmc_grid = 0, 1\n")
 
@@ -516,6 +594,19 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
                                 "--out", str(tmp_path / "nonfinite")]) == 2, body
         assert cli.run_cli(["eval", "--config", _write_ini(tmp_path), "--seed", "0",
                             "--temperature", bad]) == 2, bad
+
+    # flag overrides, the dataset spec and report-tag clashes: all exit 2
+    ini = _write_ini(tmp_path)
+    out = str(tmp_path / "rejected")
+    assert cli.run_cli(["run", "--config", ini, "--seeds", "0", "--out", out]) == 2
+    assert cli.run_cli(["eval", "--config", ini, "--seed", "0", "--mc-samples", "0",
+                        "--out", out]) == 2
+    for body in (SMALL_INI.replace("n_features = 6", "n_features = 2"),
+                 SMALL_INI + "\n[eval]\nmc_samples = 2, 2\n",
+                 SMALL_INI + "\n[eval]\ntemperatures = 10, 10.000001\n"):
+        assert cli.run_cli(["run", "--config", _write_ini(tmp_path, body),
+                            "--out", out]) == 2, body
+    assert not os.path.exists(out)
 
 
 def test_cli_failed_run_exit_code(tmp_path):
@@ -564,3 +655,49 @@ def test_python_m_vical_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: vical")
+
+
+# every function perfbench/spans.py wraps must still exist and be called by
+# `vical eval` and `vical run`, or the benchmark's traced runs fall short
+SPAN_GUARD = """
+import json, sys
+import spans
+
+class Recording(spans.Tracer):
+    wrapped = set()
+
+    def wrap(self, name, fn, count=None):
+        self.wrapped.add(name)
+        return super().wrap(name, fn, count)
+
+tracer = Recording()
+spans.instrument(tracer)
+from vical import cli
+ini, out = sys.argv[1], sys.argv[2]
+codes = [cli.run_cli(["eval", "--config", ini, "--seed", "0", "--out", out + "/eval"]),
+         cli.run_cli(["run", "--config", ini, "--out", out + "/run"])]
+print(json.dumps({"codes": codes, "wrapped": sorted(tracer.wrapped),
+                  "called": sorted(tracer.calls)}))
+"""
+
+
+def test_benchmark_span_wrappers_are_called(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(os.path.join(repo, d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAN_GUARD, _write_ini(tmp_path), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert set(got["wrapped"]) >= {
+        "kernels.normal_fill", "kernels.uniform_fill", "kernels.adamw_core",
+        "kernels.ivon_core", "model.loss_and_grad", "model.forward",
+        "optim.adamw_step", "optim.ivon_step", "optim.ivon_sample",
+        "predict.predict_mc", "predict.predict_point", "predict.predict_mean",
+        "metrics", "experiment.train_one", "experiment.evaluate_one",
+        "experiment.run_experiment", "report", "cli",
+    }
+    assert got["called"] == got["wrapped"]
