@@ -195,6 +195,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("sweep.mc_grid values must be >= 1")
     if any(t <= 0 for t in cfg.sweep.temperature_grid):
         raise ConfigError("sweep.temperature_grid values must be > 0")
+    for grid in ("mc_grid", "temperature_grid"):  # a repeat repeats its sweep rows
+        if len(set(getattr(cfg.sweep, grid))) != len(getattr(cfg.sweep, grid)):
+            raise ConfigError(f"sweep.{grid} contains duplicates")
     if cfg.optimizer not in ("adamw", "ivon", "both"):
         raise ConfigError("run.optimizer must be adamw, ivon, or both")
     if not cfg.seeds:

@@ -15,8 +15,8 @@ sweep row at (K=8, T=1) is bit-identical to the experiment's MC-8 row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,12 @@ class TrainingDiverged(Exception):
 
 @dataclass
 class TrainedArtifact:
+    """One run's result as plain data; ``template(cfg, art.sizes, art.seed)``
+    gives the logit function of its trained vector."""
+
     method: str  # "adamw" | "ivon"
     seed: int
-    template: predict.LogitFn
+    sizes: Tuple[int, ...]  # layer widths, input to output
     params: Optional[np.ndarray] = None           # AdamW point estimate
     posterior: Optional[optim.PosteriorState] = None
     epoch_losses: List[float] = field(default_factory=list)
@@ -106,31 +109,42 @@ def model_sizes(cfg: ExperimentConfig, d: int, n_classes: int) -> Tuple[int, ...
     return (d,) + tuple(cfg.hidden_sizes) + (n_classes,)
 
 
-def _build_model(cfg: ExperimentConfig, sizes: Tuple[int, ...], init_rng: vrng.RngState):
-    """Initial trainable vector, logit template, and loss closure."""
-    if cfg.lora:
-        base = model.init_mlp(sizes, init_rng)
-        proto = model.init_lora(sizes, cfg.lora_rank, cfg.lora_alpha, init_rng)
+def _build_model(cfg: ExperimentConfig, sizes: Tuple[int, ...], seed: int, init: bool = False):
+    """Logit and loss functions of the configured model, plus its initial
+    trainable vector with ``init`` (else None).
 
-        def template(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
-            adapter = model.LoraAdapter(sizes, cfg.lora_rank, cfg.lora_alpha, phi)
-            return model.lora_forward(base, adapter, x)
+    Child 0 of the seed's stream draws the MLP weights, then the LoRA
+    adapter, so the frozen LoRA base is redrawn from the seed alone. The
+    plain MLP's functions need only the sizes: it draws only with ``init``.
+    """
+    init_rng = vrng.child(vrng.seed_rng(seed), 0)
+    if not cfg.lora:
+        def logits(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return model.forward(model.MlpParams(sizes, theta), x)
 
-        def objective(phi: np.ndarray, batch: model.Batch):
-            adapter = model.LoraAdapter(sizes, cfg.lora_rank, cfg.lora_alpha, phi)
-            return model.lora_loss_and_grad(base, adapter, batch)
+        def loss(theta: np.ndarray, batch: model.Batch):
+            return model.loss_and_grad(model.MlpParams(sizes, theta), batch)
 
-        return proto.phi, template, objective
+        return logits, loss, model.init_mlp(sizes, init_rng).theta if init else None
 
-    params = model.init_mlp(sizes, init_rng)
+    base = model.init_mlp(sizes, init_rng)
 
-    def template(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return model.forward(model.MlpParams(sizes, theta), x)
+    def adapter(phi: np.ndarray) -> model.LoraAdapter:
+        return model.LoraAdapter(sizes, cfg.lora_rank, cfg.lora_alpha, phi)
 
-    def objective(theta: np.ndarray, batch: model.Batch):
-        return model.loss_and_grad(model.MlpParams(sizes, theta), batch)
+    def logits(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return model.lora_forward(base, adapter(phi), x)
 
-    return params.theta, template, objective
+    def loss(phi: np.ndarray, batch: model.Batch):
+        return model.lora_loss_and_grad(base, adapter(phi), batch)
+
+    phi0 = model.init_lora(sizes, cfg.lora_rank, cfg.lora_alpha, init_rng).phi if init else None
+    return logits, loss, phi0
+
+
+def template(cfg: ExperimentConfig, sizes: Tuple[int, ...], seed: int) -> predict.LogitFn:
+    """The logit function of a trained artifact's vector (see TrainedArtifact)."""
+    return _build_model(cfg, sizes, seed)[0]
 
 
 def _epoch_order(shuffle_rng: vrng.RngState, n: int) -> np.ndarray:
@@ -154,20 +168,16 @@ def train_one(
     steps_per_epoch = n // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
+    sizes = model_sizes(cfg, train.features.shape[1], int(train.labels.max()) + 1)
+    _, objective, theta = _build_model(cfg, sizes, seed, init=True)
     root = vrng.seed_rng(seed)
-    theta, template, objective = _build_model(
-        cfg, model_sizes(cfg, train.features.shape[1], int(train.labels.max()) + 1),
-        vrng.child(root, 0),
-    )
     shuffle_rng = vrng.child(root, 1)
     noise_rng = vrng.child(root, 2)
 
-    art = TrainedArtifact(method=optimizer, seed=seed, template=template)
+    art = TrainedArtifact(method=optimizer, seed=seed, sizes=sizes)
     adamw_state = optim.adamw_init(theta.shape[0]) if optimizer == "adamw" else None
     post = optim.init_posterior(theta, cfg.ivon) if optimizer == "ivon" else None
     min_hd = np.inf
-    clip = cfg.ivon.grad_clip
-    gstep = 0
     try:
         for _ in range(cfg.epochs):
             order = _epoch_order(shuffle_rng, n)
@@ -176,37 +186,20 @@ def train_one(
                 rows = order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
                 batch = model.Batch(train.features[rows], train.labels[rows])
                 if optimizer == "adamw":
-                    lr_t = optim.cosine_lr(gstep, total_steps, cfg.adamw.lr)
+                    lr_t = optim.cosine_lr(art.steps, total_steps, cfg.adamw.lr)
                     loss, grad = objective(theta, batch)
                     optim.adamw_step(adamw_state, theta, grad, cfg.adamw, lr_t)
                 else:
-                    lr_t = optim.cosine_lr(gstep, total_steps, cfg.ivon.lr)
-                    m = cfg.ivon.train_samples
-                    thetas, grads, losses = [], [], []
-                    for _ in range(m):
-                        th = optim.ivon_sample(post, cfg.ivon, noise_rng, 1.0)
-                        l, g = objective(th, batch)
-                        if clip > 0.0:
-                            g = np.clip(g, -clip, clip)
-                        thetas.append(th)
-                        grads.append(g)
-                        losses.append(l)
-                    if m == 1:
-                        optim.ivon_step(post, thetas[0], grads[0], cfg.ivon, lr_t)
-                    else:
-                        optim.ivon_step(post, np.stack(thetas), np.stack(grads),
-                                        cfg.ivon, lr_t)
-                    loss = float(np.mean(losses))
-                    hd = float(post.hess.min()) + cfg.ivon.weight_decay
-                    if hd < min_hd:
-                        min_hd = hd
+                    lr_t = optim.cosine_lr(art.steps, total_steps, cfg.ivon.lr)
+                    loss, hd = optim.ivon_train_step(post, cfg.ivon, objective, batch,
+                                                     noise_rng, lr_t)
+                    min_hd = min(min_hd, hd)
                 epoch_loss += loss
-                gstep += 1
+                art.steps += 1
             art.epoch_losses.append(epoch_loss / steps_per_epoch)
     except FloatingPointError as exc:
-        raise TrainingDiverged(optimizer, seed, gstep, str(exc)) from exc
+        raise TrainingDiverged(optimizer, seed, art.steps, str(exc)) from exc
 
-    art.steps = gstep
     if optimizer == "adamw":
         art.params = theta
     else:
@@ -251,20 +244,21 @@ def evaluate_one(
     if len(dev) == 0:
         raise ValueError("empty dev set")
     out = []
+    logits = template(cfg, artifact.sizes, artifact.seed)
     if artifact.method == "adamw":
-        probs = predict.predict_point(artifact.params, artifact.template, dev.features)
+        probs = predict.predict_point(artifact.params, logits, dev.features)
         out.append(EvalResult("AdamW", artifact.seed,
                               _metric_values(cfg, probs, dev.labels), probs))
         return out
 
-    probs = predict.predict_mean(artifact.posterior, artifact.template, dev.features)
+    probs = predict.predict_mean(artifact.posterior, logits, dev.features)
     out.append(EvalResult("IVON Mean", artifact.seed,
                           _metric_values(cfg, probs, dev.labels), probs))
     root = eval_rng(artifact.seed)
     for t in cfg.eval.temperatures:
         for k in cfg.eval.mc_samples:
             probs = predict.predict_mc(artifact.posterior, cfg.ivon,
-                                       artifact.template, dev.features, k, t, root)
+                                       logits, dev.features, k, t, root)
             out.append(EvalResult(mc_tag(k, t), artifact.seed,
                                   _metric_values(cfg, probs, dev.labels)))
     return out
@@ -327,11 +321,13 @@ def sweep(
     """
     from . import report
 
-    validate_config(cfg)
     if axis not in ("mc_samples", "temperature"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep values must be non-empty")
+    # the values meet the rules of the axis's [sweep] grid
+    grid = "mc_grid" if axis == "mc_samples" else "temperature_grid"
+    validate_config(replace(cfg, sweep=replace(cfg.sweep, **{grid: list(values)})))
     train, dev = data if data is not None else load_data(cfg)
     rows = []
     k_default = cfg.eval.mc_samples[0]
@@ -339,13 +335,14 @@ def sweep(
         art = artifacts.get(("ivon", seed)) if artifacts else None
         if art is None:
             art = train_one(cfg, seed, "ivon", data=(train, dev))
+        logits = template(cfg, art.sizes, seed)
         root = eval_rng(seed)
         for value in values:
             if axis == "mc_samples":
                 k, t = int(value), 1.0
             else:
                 k, t = k_default, float(value)
-            probs = predict.predict_mc(art.posterior, cfg.ivon, art.template,
+            probs = predict.predict_mc(art.posterior, cfg.ivon, logits,
                                        dev.features, k, t, root)
             vals = _metric_values(cfg, probs, dev.labels)
             rows.append({

@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class IvonConfig:
     beta1: float = 0.9
     beta2: float = 1.0 - 1e-5
     train_samples: int = 1   # M, MC samples per training step
-    grad_clip: float = 0.0   # elementwise bound applied by the trainer; 0 = off
+    grad_clip: float = 0.0   # elementwise gradient bound in ivon_train_step; 0 = off
 
 
 @dataclass
@@ -146,8 +147,9 @@ def ivon_step(
     grad: np.ndarray,
     config: IvonConfig,
     lr_t: float,
-) -> PosteriorState:
-    """One IVON update, in place. See the module docstring for the recursions.
+) -> float:
+    """One IVON update, in place; returns min(h+delta) after it. See the
+    module docstring for the recursions.
 
     For M > 1, pass theta_used and grad as [M, P] arrays; the Hessian
     product and the gradient are averaged over rows before the update.
@@ -180,7 +182,26 @@ def ivon_step(
         )
     if not (_finite(state.mean) and _finite(state.hess)):
         raise FloatingPointError(f"non-finite posterior state at t={state.t}")
-    return state
+    return post_min
+
+
+def ivon_train_step(state: PosteriorState, config: IvonConfig, objective: Callable,
+                    batch, rng: vrng.RngState, lr_t: float) -> Tuple[float, float]:
+    """One IVON training step, in place: train_samples posterior draws, the
+    (loss, gradient) of ``objective(theta, batch)`` at each, each gradient
+    clipped elementwise to +-grad_clip when that is > 0, then one ivon_step.
+    Returns the mean loss over the draws and min(h+delta) after the step.
+    """
+    thetas = [ivon_sample(state, config, rng, 1.0) for _ in range(config.train_samples)]
+    losses, grads = zip(*(objective(theta, batch) for theta in thetas))
+    clip = config.grad_clip
+    if clip > 0.0:
+        grads = [np.clip(grad, -clip, clip) for grad in grads]
+    if len(thetas) == 1:
+        min_hd = ivon_step(state, thetas[0], grads[0], config, lr_t)
+    else:
+        min_hd = ivon_step(state, np.stack(thetas), np.stack(grads), config, lr_t)
+    return float(np.mean(losses)), min_hd
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -233,10 +233,11 @@ def test_criterion_5_mean_limit(default_run, verdict):
     worst = 0.0
     for seed in cfg.seeds:
         art = result.artifacts[("ivon", seed)]
-        base = predict.predict_mean(art.posterior, art.template, dev.features)
+        logits = experiment.template(cfg, art.sizes, art.seed)
+        base = predict.predict_mean(art.posterior, logits, dev.features)
         root = vrng.child(experiment.eval_rng(seed), 9)
         for k in (1, 3, 8, 32):
-            probs = predict.predict_mc(art.posterior, cfg.ivon, art.template,
+            probs = predict.predict_mc(art.posterior, cfg.ivon, logits,
                                        dev.features, k, 1e12,
                                        vrng.child(root, k))
             worst = max(worst, float(np.max(np.abs(probs - base))))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -155,6 +156,12 @@ def test_validate_config_invariants():
     cfg.sweep.temperature_grid = [-1.0]
     with pytest.raises(ConfigError, match="temperature_grid"):
         validate_config(cfg)
+    # a repeated grid value would repeat its rows in the sweep CSV
+    for grid, values in (("mc_grid", [4, 4]), ("temperature_grid", [10.0, 10.0])):
+        cfg = _small_cfg()
+        setattr(cfg.sweep, grid, values)
+        with pytest.raises(ConfigError, match=f"sweep.{grid} contains duplicates"):
+            validate_config(cfg)
 
     # two MC settings with one report tag would merge their rows
     cfg = _small_cfg()
@@ -271,6 +278,21 @@ def test_lora_variant_trains():
     assert [r.method for r in rows] == ["IVON Mean", "IVON MC-8"]
 
 
+# sha256 of repr((epoch losses, min_hdelta)), then of the final mean and h
+# bytes, of a 2-epoch IVON run with M = 2 posterior draws per step
+IVON_TRAIN_SAMPLES_PIN = "3419102c4c41600d1938c8329187c0cb05fe97b89c658004e9db56b50208c933"
+
+
+def test_ivon_train_samples_pinned():
+    cfg = _small_cfg(epochs=2)
+    cfg.ivon.train_samples = 2
+    art = experiment.train_one(cfg, 0, "ivon")
+    h = hashlib.sha256(repr((art.epoch_losses, art.min_hdelta)).encode("ascii"))
+    h.update(art.posterior.mean.tobytes())
+    h.update(art.posterior.hess.tobytes())
+    assert h.hexdigest() == IVON_TRAIN_SAMPLES_PIN
+
+
 # ------------------------------------------------------------- evaluation --
 
 def test_evaluate_one_row_tags():
@@ -292,6 +314,32 @@ def test_evaluate_one_row_tags():
     empty = data.Batch(features=np.zeros((0, 6)), labels=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
         experiment.evaluate_one(ivon_art, empty, cfg)
+
+
+def _eval_digest(rows):
+    h = hashlib.sha256()
+    for ev in rows:
+        h.update(f"{ev.method}|{ev.seed}|{sorted(ev.values.items())!r}".encode("ascii"))
+        if ev.probs is not None:
+            h.update(ev.probs.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every evaluate_one row (tag, seed, metric values, scored
+# probabilities) of 1-epoch LoRA runs; evaluation redraws their frozen base
+LORA_EVAL_PINS = {
+    "adamw": "fb113c7aa1529de979d4d26fe51c6b4b0db43f8ca7dd52a3505925c094789f6c",
+    "ivon": "307ef50ab31d680257c39a349875567480ed0a480e6db741b49e2ccb3c21e72d",
+}
+
+
+def test_lora_evaluation_pinned():
+    cfg = _small_cfg(lora=True, lora_rank=2, lora_alpha=4.0)
+    cfg.eval.mc_samples = [2, 8]
+    train, dev = data.generate_dataset(cfg.dataset)
+    for method, want in LORA_EVAL_PINS.items():
+        art = experiment.train_one(cfg, 0, method, data=(train, dev))
+        assert _eval_digest(experiment.evaluate_one(art, dev, cfg)) == want, method
 
 
 def test_mc_tag_format():
@@ -331,6 +379,19 @@ def test_run_experiment_is_deterministic(small_run, tmp_path):
         with open(str(rerun_dir / name), "rb") as fh:
             second = fh.read()
         assert first == second, f"{name} differs between identical runs"
+
+
+def test_artifacts_pickle(small_run):
+    cfg, result, _ = small_run
+    lora_cfg = _small_cfg(lora=True, lora_rank=2, lora_alpha=4.0)
+    runs = [(cfg, art) for art in result.artifacts.values()]
+    runs.append((lora_cfg, experiment.train_one(lora_cfg, 0, "ivon",
+                                                data=(result.train, result.dev))))
+    assert {art.method for _, art in runs} == {"adamw", "ivon"}
+    for run_cfg, art in runs:
+        back = pickle.loads(pickle.dumps(art))
+        assert (_eval_digest(experiment.evaluate_one(back, result.dev, run_cfg))
+                == _eval_digest(experiment.evaluate_one(art, result.dev, run_cfg)))
 
 
 def test_sweep_matches_experiment_rows(small_run):
@@ -380,6 +441,13 @@ def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
         experiment.run_experiment(cfg)
     with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
         experiment.sweep(cfg, "mc_samples", [1], out_dir=cfg.out_dir)
+    # values passed in code meet the [sweep] grid rules before any training
+    cfg = _small_cfg(out_dir=str(tmp_path / "bad_values"))
+    for axis, values in (("mc_samples", [0]), ("mc_samples", [4, 4]),
+                         ("temperature", [0.0]), ("temperature", [float("nan")]),
+                         ("temperature", [10.0, 10.0])):
+        with pytest.raises(ConfigError, match="sweep"):
+            experiment.sweep(cfg, axis, values, out_dir=cfg.out_dir)
     assert not os.path.exists(cfg.out_dir)
 
 
@@ -576,15 +644,16 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli.run_cli(["run", "--config", missing_csv,
                         "--out", str(tmp_path / "x")]) == 3
 
-    # a bad sweep grid exits before any training
-    grid_ini = _write_ini(tmp_path, SMALL_INI + "\n[sweep]\nmc_grid = 0, 1\n")
-
+    # a bad or repeated sweep grid value exits before any training
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the config was rejected")
 
     monkeypatch.setattr(experiment, "train_one", no_training)
-    assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", "mc_samples",
-                        "--out", str(tmp_path / "sweep_out")]) == 2
+    for axis, grid in (("mc_samples", "mc_grid = 0, 1"), ("mc_samples", "mc_grid = 4, 4"),
+                       ("temperature", "temperature_grid = 10, 10")):
+        grid_ini = _write_ini(tmp_path, SMALL_INI + f"\n[sweep]\n{grid}\n")
+        assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", axis,
+                            "--out", str(tmp_path / "sweep_out")]) == 2, grid
 
     # non-finite floats exit 2 before any training, from the INI or the flag
     for bad in ("nan", "inf"):

@@ -132,8 +132,9 @@ def test_ivon_step_hessian_hand_value():
     # (1 - 1e-5)*1e-3 + 0.5e-10*1e-3 exactly
     cfg = optim.IvonConfig(lr=0.0, ess=1e7, hess_init=1e-3)
     state = optim.init_posterior(np.zeros(3), cfg)
-    optim.ivon_step(state, state.mean.copy(), np.full(3, 0.25), cfg, 0.0)
+    min_hd = optim.ivon_step(state, state.mean.copy(), np.full(3, 0.25), cfg, 0.0)
     assert np.max(np.abs(state.hess - 0.00099999000005)) < 1e-17
+    assert min_hd == float(state.hess.min()) + cfg.weight_decay
     assert state.t == 1
 
 
