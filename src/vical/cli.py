@@ -31,11 +31,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, optimizer: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, optimizer: bool = True,
+               seeds: bool = False) -> None:
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, help="run a single seed")
-        p.add_argument("--seeds", type=int, metavar="N",
-                       help="run seeds 0..N-1 (overrides the config list)")
+        if seeds:
+            p.add_argument("--seeds", type=int, metavar="N",
+                           help="run seeds 0..N-1 (overrides the config list)")
         p.add_argument("--out", metavar="DIR", help="output directory")
         if optimizer:
             p.add_argument("--optimizer", choices=["adamw", "ivon", "both"])
@@ -55,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling temperature for MC evaluation")
 
     p = sub.add_parser("run", help="full multi-seed experiment with reports")
-    common(p)
+    common(p, seeds=True)
 
     p = sub.add_parser("sweep", help="sweep an inference-time axis on fixed "
                                      "trained posteriors")
-    common(p, optimizer=False)
+    common(p, optimizer=False, seeds=True)
     p.add_argument("--axis", choices=["mc_samples", "temperature"],
                    required=True)
     return parser
@@ -162,9 +164,7 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    values = (cfg.sweep.mc_grid if args.axis == "mc_samples"
-              else cfg.sweep.temperature_grid)
-    rows = experiment.sweep(cfg, args.axis, values, out_dir=cfg.out_dir)
+    rows = experiment.sweep(cfg, args.axis, out_dir=cfg.out_dir)
     print(f"wrote sweep_{args.axis}.csv with {len(rows)} rows under {cfg.out_dir}")
     return 0
 

@@ -8,15 +8,15 @@ feeds MC sample k. AdamW and IVON runs for the same seed therefore
 share initialization and batch order exactly, which is what makes the
 per-seed comparison paired.
 
-Sweeps reuse the trained posterior and the same evaluation root, so a
-sweep row at (K=8, T=1) is bit-identical to the experiment's MC-8 row.
+Sweeps reuse the trained posterior and evaluate_one's MC path, so a
+sweep row at (K=8, T=1) is the experiment's MC-8 row by construction.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .config import ConfigError, ExperimentConfig, validate_config
 log = logging.getLogger(__name__)
 
 METRIC_KEYS = ("acc", "ece", "nll", "brier", "c_at_1", "c_at_5", "c_at_10", "auc")
+SWEEP_KEYS = ("acc", "ece", "c_at_5", "auc")  # the sweep CSV's metric columns
 
 
 class TrainingDiverged(Exception):
@@ -243,24 +244,28 @@ def evaluate_one(
     """All report rows one trained artifact contributes."""
     if len(dev) == 0:
         raise ValueError("empty dev set")
-    out = []
     logits = template(cfg, artifact.sizes, artifact.seed)
     if artifact.method == "adamw":
-        probs = predict.predict_point(artifact.params, logits, dev.features)
-        out.append(EvalResult("AdamW", artifact.seed,
-                              _metric_values(cfg, probs, dev.labels), probs))
-        return out
+        tag, probs = "AdamW", predict.predict_point(artifact.params, logits, dev.features)
+    else:
+        tag, probs = "IVON Mean", predict.predict_mean(artifact.posterior, logits, dev.features)
+    out = [EvalResult(tag, artifact.seed, _metric_values(cfg, probs, dev.labels), probs)]
+    if artifact.method == "ivon":
+        grid = [(k, t) for t in cfg.eval.temperatures for k in cfg.eval.mc_samples]
+        out += _mc_evals(artifact, logits, dev, cfg, grid)
+    return out
 
-    probs = predict.predict_mean(artifact.posterior, logits, dev.features)
-    out.append(EvalResult("IVON Mean", artifact.seed,
-                          _metric_values(cfg, probs, dev.labels), probs))
+
+def _mc_evals(artifact: TrainedArtifact, logits: predict.LogitFn, dev: model.Batch,
+              cfg: ExperimentConfig, grid: List[Tuple[int, float]]) -> List[EvalResult]:
+    """One MC row per (K, T) in ``grid``, every draw from the seed's evaluation root."""
     root = eval_rng(artifact.seed)
-    for t in cfg.eval.temperatures:
-        for k in cfg.eval.mc_samples:
-            probs = predict.predict_mc(artifact.posterior, cfg.ivon,
-                                       logits, dev.features, k, t, root)
-            out.append(EvalResult(mc_tag(k, t), artifact.seed,
-                                  _metric_values(cfg, probs, dev.labels)))
+    out = []
+    for k, t in grid:
+        probs = predict.predict_mc(artifact.posterior, cfg.ivon,
+                                   logits, dev.features, k, t, root)
+        out.append(EvalResult(mc_tag(k, t), artifact.seed,
+                              _metric_values(cfg, probs, dev.labels)))
     return out
 
 
@@ -279,7 +284,7 @@ def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train and evaluate every (seed, method) pair, aggregate, write reports."""
     from . import report  # local import keeps module load order simple
 
@@ -302,19 +307,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Expe
                 })
     rows = _aggregate(evals)
     result = ExperimentResult(rows, evals, artifacts, failures, train, dev)
-    report.emit_report(result, cfg, out_dir or cfg.out_dir)
+    report.emit_report(result, cfg, cfg.out_dir)
     return result
 
 
 def sweep(
     cfg: ExperimentConfig,
     axis: str,
-    values: Sequence[float],
     out_dir: Optional[str] = None,
     artifacts: Optional[Dict[Tuple[str, int], TrainedArtifact]] = None,
     data: Optional[Tuple[model.Batch, model.Batch]] = None,
 ) -> List[dict]:
-    """Evaluate an inference-time axis on fixed trained posteriors.
+    """Evaluate the axis's ``[sweep]`` grid on fixed trained posteriors.
 
     No retraining happens across values; each seed's posterior is
     trained once (or taken from a previous run's artifacts).
@@ -323,34 +327,24 @@ def sweep(
 
     if axis not in ("mc_samples", "temperature"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if not values:
-        raise ConfigError("sweep values must be non-empty")
-    # the values meet the rules of the axis's [sweep] grid
-    grid = "mc_grid" if axis == "mc_samples" else "temperature_grid"
-    validate_config(replace(cfg, sweep=replace(cfg.sweep, **{grid: list(values)})))
+    key = "mc_grid" if axis == "mc_samples" else "temperature_grid"
+    if not getattr(cfg.sweep, key):
+        raise ConfigError(f"sweep.{key} must be non-empty")
+    validate_config(cfg)
+    if axis == "mc_samples":
+        grid = [(int(v), 1.0) for v in cfg.sweep.mc_grid]
+    else:
+        grid = [(cfg.eval.mc_samples[0], float(v)) for v in cfg.sweep.temperature_grid]
     train, dev = data if data is not None else load_data(cfg)
     rows = []
-    k_default = cfg.eval.mc_samples[0]
     for seed in sorted(cfg.seeds):
         art = artifacts.get(("ivon", seed)) if artifacts else None
         if art is None:
             art = train_one(cfg, seed, "ivon", data=(train, dev))
-        logits = template(cfg, art.sizes, seed)
-        root = eval_rng(seed)
-        for value in values:
-            if axis == "mc_samples":
-                k, t = int(value), 1.0
-            else:
-                k, t = k_default, float(value)
-            probs = predict.predict_mc(art.posterior, cfg.ivon, logits,
-                                       dev.features, k, t, root)
-            vals = _metric_values(cfg, probs, dev.labels)
-            rows.append({
-                "axis_value": int(value) if axis == "mc_samples" else float(value),
-                "seed": seed,
-                "acc": vals["acc"], "ece": vals["ece"],
-                "c_at_5": vals["c_at_5"], "auc": vals["auc"],
-            })
+        evals = _mc_evals(art, template(cfg, art.sizes, seed), dev, cfg, grid)
+        for (k, t), ev in zip(grid, evals):
+            rows.append({"axis_value": k if axis == "mc_samples" else t, "seed": seed,
+                         **{m: ev.values[m] for m in SWEEP_KEYS}})
     if out_dir is not None:
         report.write_sweep_csv(rows, axis, out_dir)
     return rows

@@ -84,7 +84,7 @@ def adamw_step(
     grad: np.ndarray,
     config: AdamwConfig,
     lr_t: float,
-):
+) -> None:
     """One decoupled-weight-decay Adam update, in place."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("parameter/gradient/state length mismatch")
@@ -98,7 +98,6 @@ def adamw_step(
     )
     if not _finite(params):
         raise FloatingPointError("non-finite parameters after AdamW step")
-    return state, params
 
 
 def init_posterior(m0: np.ndarray, config: IvonConfig) -> PosteriorState:
@@ -175,7 +174,8 @@ def ivon_step(
     )
     if floored:
         log.warning("ivon_step t=%d: floored %d negative h entries", state.t, floored)
-    post_min = float(np.min(state.hess)) + config.weight_decay
+    # the kernel's min is taken before the floor; a floored entry's h+delta is delta
+    post_min = config.weight_decay if floored else min_hd
     if not math.isfinite(min_hd) or post_min <= 0.0:
         raise FloatingPointError(
             f"posterior variance collapsed at t={state.t}: min(h+delta)={post_min:g}"

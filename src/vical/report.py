@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, backend
 from .config import ExperimentConfig, config_dict, config_hash
-from .experiment import METRIC_KEYS, EvalResult, ExperimentResult, ReportRow
+from .experiment import METRIC_KEYS, SWEEP_KEYS, EvalResult, ExperimentResult, ReportRow
 from .metrics import reliability_table, risk_coverage_curve
 
 _SCALED = ("ece", "brier", "auc")  # shown as x100 in the table
@@ -94,9 +94,8 @@ def write_report_csv(rows: Sequence[ReportRow], path: str) -> None:
 def write_sweep_csv(rows: List[dict], axis: str, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _write_csv(path, ["axis_value", "seed", "acc", "ece", "c_at_5", "auc"], (
-        [r["axis_value"], r["seed"], float(r["acc"]),
-         float(r["ece"]), float(r["c_at_5"]), float(r["auc"])]
+    _write_csv(path, ["axis_value", "seed", *SWEEP_KEYS], (
+        [r["axis_value"], r["seed"]] + [float(r[k]) for k in SWEEP_KEYS]
         for r in rows))
     return path
 

@@ -48,17 +48,15 @@ def _mix64(x: int) -> int:
 
 @dataclass
 class RngState:
-    """A seeded stream position: root seed, derived key, draw counter."""
+    """A seeded stream position: derived key, draw counter."""
 
-    seed: int
     key: int
     counter: int = 0
 
 
 def seed_rng(seed: int) -> RngState:
     """Create the root stream for a seed. Same seed, same stream, always."""
-    seed = int(seed) & _MASK
-    return RngState(seed=seed, key=_mix64(seed + _GOLDEN))
+    return RngState(key=_mix64(int(seed) + _GOLDEN))  # _mix64 reduces mod 2^64
 
 
 def child(state: RngState, index: int) -> RngState:
@@ -66,7 +64,7 @@ def child(state: RngState, index: int) -> RngState:
     if index < 0:
         raise ValueError("child index must be >= 0")
     key = _mix64(state.key + (index + 1) * _SPLIT)
-    return RngState(seed=state.seed, key=key)
+    return RngState(key=key)
 
 
 def sample_uniform(state: RngState, n: int) -> np.ndarray:

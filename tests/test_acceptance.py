@@ -26,7 +26,7 @@ def default_run(tmp_path_factory):
     t0 = time.perf_counter()
     result = experiment.run_experiment(cfg)
     sweep_rows = experiment.sweep(
-        cfg, "mc_samples", cfg.sweep.mc_grid,
+        cfg, "mc_samples",
         out_dir=cfg.out_dir, artifacts=result.artifacts,
         data=(result.train, result.dev),
     )

@@ -395,9 +395,11 @@ def test_artifacts_pickle(small_run):
 
 
 def test_sweep_matches_experiment_rows(small_run):
-    cfg, result, out = small_run
+    _, result, out = small_run
+    cfg = _small_cfg()
+    cfg.sweep.mc_grid = [8]
     rows = experiment.sweep(
-        cfg, "mc_samples", [8],
+        cfg, "mc_samples",
         artifacts=result.artifacts, data=(result.train, result.dev),
     )
     mc_rows = {ev.seed: ev for ev in result.evals if ev.method == "IVON MC-8"}
@@ -409,25 +411,42 @@ def test_sweep_matches_experiment_rows(small_run):
 
 
 def test_sweep_temperature_axis(small_run):
-    cfg, result, out = small_run
+    _, result, out = small_run
+    cfg = _small_cfg()
+    cfg.sweep.temperature_grid = [1, 1e3]  # a code-built grid may hold ints
     rows = experiment.sweep(
-        cfg, "temperature", [1.0, 1e3],
+        cfg, "temperature",
         artifacts=result.artifacts, data=(result.train, result.dev),
         out_dir=str(out),
     )
     assert len(rows) == 4
     assert {r["axis_value"] for r in rows} == {1.0, 1e3}
+    assert all(isinstance(r["axis_value"], float) for r in rows)
     path = os.path.join(str(out), "sweep_temperature.csv")
     with open(path, encoding="utf-8") as fh:
         assert fh.readline().strip() == "axis_value,seed,acc,ece,c_at_5,auc"
 
 
-def test_sweep_validation(small_run):
+# sha256 of sweep_temperature.csv over the default temperature grid
+SWEEP_TEMPERATURE_PIN = "49a88b4b016c39408034032491606188359f99a2f4bcfdd8dc79c30232d59a1d"
+
+
+def test_sweep_temperature_pinned(small_run, tmp_path):
     cfg, result, _ = small_run
-    with pytest.raises(ConfigError):
-        experiment.sweep(cfg, "nosuch", [1])
-    with pytest.raises(ConfigError):
-        experiment.sweep(cfg, "mc_samples", [])
+    assert cfg.sweep.temperature_grid == [1.0, 10.0, 1e3, 1e12]
+    experiment.sweep(cfg, "temperature", out_dir=str(tmp_path),
+                     artifacts=result.artifacts, data=(result.train, result.dev))
+    with open(tmp_path / "sweep_temperature.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_TEMPERATURE_PIN
+
+
+def test_sweep_validation():
+    cfg = _small_cfg()
+    with pytest.raises(ConfigError, match="unknown sweep axis"):
+        experiment.sweep(cfg, "nosuch")
+    cfg.sweep.mc_grid = []
+    with pytest.raises(ConfigError, match="sweep.mc_grid must be non-empty"):
+        experiment.sweep(cfg, "mc_samples")
 
 
 def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
@@ -440,14 +459,17 @@ def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
         experiment.run_experiment(cfg)
     with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
-        experiment.sweep(cfg, "mc_samples", [1], out_dir=cfg.out_dir)
-    # values passed in code meet the [sweep] grid rules before any training
-    cfg = _small_cfg(out_dir=str(tmp_path / "bad_values"))
-    for axis, values in (("mc_samples", [0]), ("mc_samples", [4, 4]),
-                         ("temperature", [0.0]), ("temperature", [float("nan")]),
-                         ("temperature", [10.0, 10.0])):
+        experiment.sweep(cfg, "mc_samples", out_dir=cfg.out_dir)
+    # a grid set in code meets the [sweep] grid rules before any training
+    for axis, grid, values in (("mc_samples", "mc_grid", [0]),
+                               ("mc_samples", "mc_grid", [4, 4]),
+                               ("temperature", "temperature_grid", [0.0]),
+                               ("temperature", "temperature_grid", [float("nan")]),
+                               ("temperature", "temperature_grid", [10.0, 10.0])):
+        cfg = _small_cfg(out_dir=str(tmp_path / "bad_values"))
+        setattr(cfg.sweep, grid, values)
         with pytest.raises(ConfigError, match="sweep"):
-            experiment.sweep(cfg, axis, values, out_dir=cfg.out_dir)
+            experiment.sweep(cfg, axis, out_dir=cfg.out_dir)
     assert not os.path.exists(cfg.out_dir)
 
 
@@ -629,7 +651,7 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 1 + 2 * 2  # two seeds, two grid values
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad_ini = tmp_path / "bad.ini"
     bad_ini.write_text("[dataset]\nnot_a_key = 1\n", encoding="utf-8")
     assert cli.run_cli(["run", "--config", str(bad_ini)]) == 2
@@ -654,6 +676,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         grid_ini = _write_ini(tmp_path, SMALL_INI + f"\n[sweep]\n{grid}\n")
         assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", axis,
                             "--out", str(tmp_path / "sweep_out")]) == 2, grid
+
+    # the single-seed commands have no --seeds to ignore
+    for command in ("eval", "train", "gen-data"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run_cli([command, "--config", _write_ini(tmp_path), "--seeds", "3",
+                         "--out", str(tmp_path / "seeds_out")])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --seeds 3" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "seeds_out")
 
     # non-finite floats exit 2 before any training, from the INI or the flag
     for bad in ("nan", "inf"):

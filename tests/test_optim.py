@@ -138,6 +138,26 @@ def test_ivon_step_hessian_hand_value():
     assert state.t == 1
 
 
+def test_ivon_step_floor_returns_delta():
+    # h = 0 and hhat = -delta/(1-b2) give h' = -delta/2, floored to 0
+    cfg = optim.IvonConfig(lr=0.0, ess=1.0, hess_init=1.0, weight_decay=1e-4, beta2=0.5)
+    state = optim.init_posterior(np.zeros(4), cfg)
+    state.hess[:] = 0.0
+    assert optim.ivon_step(state, state.mean + 1.0, np.full(4, -2.0), cfg, 0.0) == 1e-4
+    assert state.hess.min() == 0.0
+
+
+def test_ivon_step_floor_without_delta_collapses():
+    # with delta = 0 a negative h stays negative, is floored to 0, and
+    # leaves min(h+delta) = 0: an infinite posterior variance
+    cfg = optim.IvonConfig(lr=0.0, ess=1.0, hess_init=1.0, beta2=0.5)
+    state = optim.init_posterior(np.zeros(4), cfg)
+    state.hess[:] = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="collapsed"):
+            optim.ivon_step(state, state.mean + 1.0, np.ones(4), cfg, 0.0)
+
+
 def test_ivon_step_zero_grad_keeps_mean():
     cfg = optim.IvonConfig(lr=0.05, ess=1e6, hess_init=1e-3)
     state = optim.init_posterior(_vec(11, 6), cfg)
