@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import experiment, metrics, report
+from . import experiment, report
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .data import DataError, generate_dataset, save_csv
 from .experiment import TrainingDiverged
@@ -128,35 +128,20 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    seed = cfg.seeds[0]
-    data = experiment.load_data(cfg)
-    dev = data[1]
-    results = []
-    for method in experiment.methods(cfg):
-        art = experiment.train_one(cfg, seed, method, data=data)
-        results.extend(experiment.evaluate_one(art, dev, cfg))
-
-    for ev in results:
+    cfg.seeds = cfg.seeds[:1]
+    result = experiment.run_experiment(cfg)
+    for ev in result.evals:
         vals = "  ".join(f"{k}={v:.4f}" for k, v in ev.values.items())
         print(f"{ev.method} (seed {ev.seed}): {vals}")
-
     if args.out:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        report.write_eval_csv(results, os.path.join(cfg.out_dir, "eval_metrics.csv"))
-        # curve export covers the point and mean predictors
-        scores = {ev.method: metrics.records_from_probs(ev.probs, dev.labels)
-                  for ev in results if ev.probs is not None}
-        report.write_curve_csv(scores, os.path.join(cfg.out_dir, "risk_coverage.csv"))
-        report.write_reliability_csv(scores, cfg.eval.ece_bins,
-                                     os.path.join(cfg.out_dir, "reliability.csv"))
+        report.emit_eval(result, cfg, cfg.out_dir)
         print(f"wrote metrics and curves under {cfg.out_dir}")
-    return 0
+    return 4 if result.failures else 0  # run_experiment logged each failure
 
 
 def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     result = experiment.run_experiment(cfg)
-    with open(os.path.join(cfg.out_dir, "report.txt"), "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    print(report.emit_report(result, cfg, cfg.out_dir), end="")
     if result.failures:
         log.error("%d run(s) failed; see metadata.json", len(result.failures))
         return 4
@@ -164,7 +149,8 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    rows = experiment.sweep(cfg, args.axis, out_dir=cfg.out_dir)
+    rows = experiment.sweep(cfg, args.axis)
+    report.write_sweep_csv(rows, args.axis, cfg.out_dir)
     print(f"wrote sweep_{args.axis}.csv with {len(rows)} rows under {cfg.out_dir}")
     return 0
 

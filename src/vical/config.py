@@ -31,7 +31,6 @@ class EvalSettings:
     mc_samples: List[int] = field(default_factory=lambda: [8])
     temperatures: List[float] = field(default_factory=lambda: [1.0])
     ece_bins: int = 10
-    risk_budgets: List[float] = field(default_factory=lambda: [0.01, 0.05, 0.10])
 
 
 @dataclass
@@ -184,13 +183,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "significant digits (they name the report rows)")
     if cfg.eval.ece_bins < 1:
         raise ConfigError("eval.ece_bins must be >= 1")
-    if len(cfg.eval.risk_budgets) != 3:
-        raise ConfigError("eval.risk_budgets needs exactly 3 entries "
-                          "(the c_at_1/c_at_5/c_at_10 report columns)")
-    if any(not 0.0 <= r <= 1.0 for r in cfg.eval.risk_budgets):
-        raise ConfigError("eval.risk_budgets must lie in [0, 1]")
-    if sorted(cfg.eval.risk_budgets) != list(cfg.eval.risk_budgets):
-        raise ConfigError("eval.risk_budgets must be non-decreasing")
     if any(k < 1 for k in cfg.sweep.mc_grid):
         raise ConfigError("sweep.mc_grid values must be >= 1")
     if any(t <= 0 for t in cfg.sweep.temperature_grid):
@@ -207,8 +199,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def config_dict(cfg: ExperimentConfig) -> dict:
+    """The experiment's settings; ``out_dir`` says only where outputs go."""
     out = asdict(cfg)
     out["hidden_sizes"] = list(cfg.hidden_sizes)
+    del out["out_dir"]
     return out
 
 

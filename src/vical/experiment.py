@@ -10,6 +10,7 @@ per-seed comparison paired.
 
 Sweeps reuse the trained posterior and evaluate_one's MC path, so a
 sweep row at (K=8, T=1) is the experiment's MC-8 row by construction.
+This module writes no files; ``report`` writes what it returns.
 """
 
 from __future__ import annotations
@@ -216,15 +217,14 @@ def eval_rng(seed: int) -> vrng.RngState:
 
 def _metric_values(cfg: ExperimentConfig, probs: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
     conf, correct = metrics.records_from_probs(probs, labels)
-    budgets = cfg.eval.risk_budgets
     return {
         "acc": metrics.accuracy(probs, labels),
         "ece": metrics.ece(conf, correct, cfg.eval.ece_bins),
         "nll": metrics.nll(probs, labels),
         "brier": metrics.brier(probs, labels),
-        "c_at_1": metrics.coverage_at_risk(conf, correct, budgets[0]),
-        "c_at_5": metrics.coverage_at_risk(conf, correct, budgets[1]),
-        "c_at_10": metrics.coverage_at_risk(conf, correct, budgets[2]),
+        "c_at_1": metrics.coverage_at_risk(conf, correct, 0.01),
+        "c_at_5": metrics.coverage_at_risk(conf, correct, 0.05),
+        "c_at_10": metrics.coverage_at_risk(conf, correct, 0.10),
         "auc": metrics.risk_coverage_auc(conf, correct),
     }
 
@@ -285,9 +285,7 @@ def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train and evaluate every (seed, method) pair, aggregate, write reports."""
-    from . import report  # local import keeps module load order simple
-
+    """Train and evaluate every (seed, method) pair and aggregate."""
     validate_config(cfg)
     train, dev = load_data(cfg)
     evals: List[EvalResult] = []
@@ -305,16 +303,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     "method": exc.method, "seed": exc.seed,
                     "step": exc.step, "detail": exc.detail,
                 })
-    rows = _aggregate(evals)
-    result = ExperimentResult(rows, evals, artifacts, failures, train, dev)
-    report.emit_report(result, cfg, cfg.out_dir)
-    return result
+    return ExperimentResult(_aggregate(evals), evals, artifacts, failures, train, dev)
 
 
 def sweep(
     cfg: ExperimentConfig,
     axis: str,
-    out_dir: Optional[str] = None,
     artifacts: Optional[Dict[Tuple[str, int], TrainedArtifact]] = None,
     data: Optional[Tuple[model.Batch, model.Batch]] = None,
 ) -> List[dict]:
@@ -323,8 +317,6 @@ def sweep(
     No retraining happens across values; each seed's posterior is
     trained once (or taken from a previous run's artifacts).
     """
-    from . import report
-
     if axis not in ("mc_samples", "temperature"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     key = "mc_grid" if axis == "mc_samples" else "temperature_grid"
@@ -345,6 +337,4 @@ def sweep(
         for (k, t), ev in zip(grid, evals):
             rows.append({"axis_value": k if axis == "mc_samples" else t, "seed": seed,
                          **{m: ev.values[m] for m in SWEEP_KEYS}})
-    if out_dir is not None:
-        report.write_sweep_csv(rows, axis, out_dir)
     return rows

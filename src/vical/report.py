@@ -1,4 +1,5 @@
-"""Report files: aligned text table, raw CSV, sweep curves, metadata.
+"""Report files: aligned text table, raw CSV, sweep curves, eval exports,
+metadata. ``experiment`` computes the results; this module writes them.
 
 The CSV keeps raw fractions. The text table multiplies ECE, Brier, and
 AUC by 100 (the usual presentation scale for these metrics) and tags
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, backend
 from .config import ExperimentConfig, config_dict, config_hash
 from .experiment import METRIC_KEYS, SWEEP_KEYS, EvalResult, ExperimentResult, ReportRow
-from .metrics import reliability_table, risk_coverage_curve
+from .metrics import records_from_probs, reliability_table, risk_coverage_curve
 
 _SCALED = ("ece", "brier", "auc")  # shown as x100 in the table
 _HEADERS = {
@@ -137,24 +138,19 @@ def _versions() -> dict:
     }
 
 
-def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Write report.txt, report.csv, and metadata.json; return the paths.
+def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> str:
+    """Write report.txt, report.csv, and metadata.json; return the table text.
 
     When every run failed, the table and CSV have no rows and the
     WARNING line and metadata.json name the failures.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "table": os.path.join(out_dir, "report.txt"),
-        "csv": os.path.join(out_dir, "report.csv"),
-        "metadata": os.path.join(out_dir, "metadata.json"),
-    }
     table = format_table(result.rows)
     if result.failures:
         tags = ", ".join(f"{f['method']}/seed{f['seed']}" for f in result.failures)
         table += f"WARNING: {len(result.failures)} failed run(s) excluded: {tags}\n"
-    _write_text(paths["table"], table)
-    write_report_csv(result.rows, paths["csv"])
+    _write_text(os.path.join(out_dir, "report.txt"), table)
+    write_report_csv(result.rows, os.path.join(out_dir, "report.csv"))
     meta = {
         "config_hash": config_hash(cfg),
         "config": config_dict(cfg),
@@ -164,5 +160,17 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
         "failures": result.failures,
         "versions": _versions(),
     }
-    _write_text(paths["metadata"], json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return paths
+    _write_text(os.path.join(out_dir, "metadata.json"),
+                json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return table
+
+
+def emit_eval(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
+    """Write eval_metrics.csv (every per-seed row), risk_coverage.csv and
+    reliability.csv (the point and mean rows, which keep their probabilities)."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_eval_csv(result.evals, os.path.join(out_dir, "eval_metrics.csv"))
+    scores = {ev.method: records_from_probs(ev.probs, result.dev.labels)
+              for ev in result.evals if ev.probs is not None}
+    write_curve_csv(scores, os.path.join(out_dir, "risk_coverage.csv"))
+    write_reliability_csv(scores, cfg.eval.ece_bins, os.path.join(out_dir, "reliability.csv"))

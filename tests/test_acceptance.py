@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from vical import experiment, metrics, model, optim, predict
+from vical import experiment, metrics, model, optim, predict, report
 from vical import rng as vrng
 from vical.config import ExperimentConfig
 
@@ -26,10 +26,11 @@ def default_run(tmp_path_factory):
     t0 = time.perf_counter()
     result = experiment.run_experiment(cfg)
     sweep_rows = experiment.sweep(
-        cfg, "mc_samples",
-        out_dir=cfg.out_dir, artifacts=result.artifacts,
+        cfg, "mc_samples", artifacts=result.artifacts,
         data=(result.train, result.dev),
     )
+    report.emit_report(result, cfg, cfg.out_dir)
+    report.write_sweep_csv(sweep_rows, "mc_samples", cfg.out_dir)
     elapsed = time.perf_counter() - t0
     return {
         "cfg": cfg,
@@ -330,7 +331,7 @@ def test_criterion_9_coverage_monotone(default_run, verdict):
 def test_criterion_10_determinism(default_run, tmp_path, verdict):
     cfg = ExperimentConfig()
     cfg.out_dir = str(tmp_path / "run2")
-    experiment.run_experiment(cfg)
+    report.emit_report(experiment.run_experiment(cfg), cfg, cfg.out_dir)
     names = ("report.csv", "report.txt")
     same = {}
     for name in names:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -61,7 +62,6 @@ def test_default_config_is_valid():
     cfg = ExperimentConfig()
     validate_config(cfg)
     assert cfg.optimizer == "both"
-    assert cfg.eval.risk_budgets == [0.01, 0.05, 0.10]
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -69,6 +69,10 @@ def test_config_hash_is_stable_and_sensitive():
     changed = ExperimentConfig()
     changed.epochs += 1
     assert config_hash(changed) != config_hash(ExperimentConfig())
+    # where the outputs go is not part of the experiment
+    moved = ExperimentConfig()
+    moved.out_dir = "elsewhere"
+    assert config_hash(moved) == config_hash(ExperimentConfig())
 
 
 def test_config_dict_is_json_serializable():
@@ -82,7 +86,7 @@ def test_load_config_overrides_defaults(tmp_path):
         "[dataset]\nn_classes = 5\nseed = 3  # inline comment\n"
         "[model]\nhidden_sizes = 32,16\nlora = yes\n"
         "[ivon]\ness = 1e7\n"
-        "[eval]\nmc_samples = 4,8\nrisk_budgets = 0.02,0.05,0.2\n"
+        "[eval]\nmc_samples = 4,8\n"
         "[run]\nseeds = 0,1,2\noptimizer = ivon\n",
         encoding="utf-8",
     )
@@ -91,7 +95,6 @@ def test_load_config_overrides_defaults(tmp_path):
     assert cfg.hidden_sizes == (32, 16) and cfg.lora is True
     assert cfg.ivon.ess == 1e7
     assert cfg.eval.mc_samples == [4, 8]
-    assert cfg.eval.risk_budgets == [0.02, 0.05, 0.2]
     assert cfg.seeds == [0, 1, 2] and cfg.optimizer == "ivon"
 
 
@@ -100,6 +103,7 @@ def test_shipped_configs_load():
     configs = os.path.join(os.path.dirname(here), "configs")
     default = load_config(os.path.join(configs, "default.ini"))
     assert config_dict(default) == config_dict(ExperimentConfig())
+    assert default.out_dir == ExperimentConfig().out_dir
     assert load_config(os.path.join(configs, "large-ess.ini")).ivon.ess == 1e7
 
 
@@ -110,6 +114,10 @@ def test_load_config_rejects_unknown_names(tmp_path):
         load_config(str(path))
     path.write_text("[dataset]\nnosuch = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown key dataset.nosuch"):
+        load_config(str(path))
+    # the C@1%/C@5%/C@10% columns name their budgets, so they are not settable
+    path.write_text("[eval]\nrisk_budgets = 0.02, 0.05, 0.2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key eval.risk_budgets"):
         load_config(str(path))
     path.write_text("[train]\nepochs = three\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad value for train.epochs"):
@@ -137,13 +145,6 @@ def test_validate_config_invariants():
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
-    cfg = _small_cfg()
-    cfg.eval.risk_budgets = [0.01, 0.05]
-    with pytest.raises(ConfigError, match="exactly 3"):
-        validate_config(cfg)
-    cfg.eval.risk_budgets = [0.10, 0.05, 0.01]
-    with pytest.raises(ConfigError, match="non-decreasing"):
-        validate_config(cfg)
     cfg = _small_cfg()
     cfg.train_csv = "only_train.csv"
     with pytest.raises(ConfigError, match="both"):
@@ -209,9 +210,9 @@ def test_default_ini_names_every_key_once():
              for key in config._section_keys(cfg, section)]
     assert sorted(named) == sorted(every)
     assert len(set(every)) == len(every)
-    # and every config field is an INI key
+    # and every config field is an INI key (config_dict leaves out run.out_dir)
     fields = config_dict(cfg).values()
-    assert len(every) == sum(len(v) if isinstance(v, dict) else 1 for v in fields)
+    assert len(every) == 1 + sum(len(v) if isinstance(v, dict) else 1 for v in fields)
 
 
 # -------------------------------------------------------------- training ---
@@ -355,6 +356,7 @@ def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_run")
     cfg = _small_cfg(out_dir=str(out))
     result = experiment.run_experiment(cfg)
+    report.emit_report(result, cfg, cfg.out_dir)
     return cfg, result, out
 
 
@@ -372,8 +374,8 @@ def test_run_experiment_is_deterministic(small_run, tmp_path):
     cfg, result, out = small_run
     rerun_dir = tmp_path / "rerun"
     cfg2 = _small_cfg(out_dir=str(rerun_dir))
-    experiment.run_experiment(cfg2)
-    for name in ("report.csv", "report.txt"):
+    report.emit_report(experiment.run_experiment(cfg2), cfg2, cfg2.out_dir)
+    for name in ("report.csv", "report.txt", "metadata.json"):
         with open(os.path.join(str(out), name), "rb") as fh:
             first = fh.read()
         with open(str(rerun_dir / name), "rb") as fh:
@@ -417,8 +419,8 @@ def test_sweep_temperature_axis(small_run):
     rows = experiment.sweep(
         cfg, "temperature",
         artifacts=result.artifacts, data=(result.train, result.dev),
-        out_dir=str(out),
     )
+    report.write_sweep_csv(rows, "temperature", str(out))
     assert len(rows) == 4
     assert {r["axis_value"] for r in rows} == {1.0, 1e3}
     assert all(isinstance(r["axis_value"], float) for r in rows)
@@ -434,8 +436,9 @@ SWEEP_TEMPERATURE_PIN = "49a88b4b016c39408034032491606188359f99a2f4bcfdd8dc79c30
 def test_sweep_temperature_pinned(small_run, tmp_path):
     cfg, result, _ = small_run
     assert cfg.sweep.temperature_grid == [1.0, 10.0, 1e3, 1e12]
-    experiment.sweep(cfg, "temperature", out_dir=str(tmp_path),
-                     artifacts=result.artifacts, data=(result.train, result.dev))
+    rows = experiment.sweep(cfg, "temperature",
+                            artifacts=result.artifacts, data=(result.train, result.dev))
+    report.write_sweep_csv(rows, "temperature", str(tmp_path))
     with open(tmp_path / "sweep_temperature.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_TEMPERATURE_PIN
 
@@ -459,7 +462,7 @@ def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
         experiment.run_experiment(cfg)
     with pytest.raises(ConfigError, match="ivon.grad_clip must be finite"):
-        experiment.sweep(cfg, "mc_samples", out_dir=cfg.out_dir)
+        experiment.sweep(cfg, "mc_samples")
     # a grid set in code meets the [sweep] grid rules before any training
     for axis, grid, values in (("mc_samples", "mc_grid", [0]),
                                ("mc_samples", "mc_grid", [4, 4]),
@@ -469,7 +472,7 @@ def test_code_built_config_is_validated_before_training(tmp_path, monkeypatch):
         cfg = _small_cfg(out_dir=str(tmp_path / "bad_values"))
         setattr(cfg.sweep, grid, values)
         with pytest.raises(ConfigError, match="sweep"):
-            experiment.sweep(cfg, axis, out_dir=cfg.out_dir)
+            experiment.sweep(cfg, axis)
     assert not os.path.exists(cfg.out_dir)
 
 
@@ -480,8 +483,34 @@ def test_failed_runs_are_excluded_not_fatal(tmp_path):
     result = experiment.run_experiment(cfg)
     assert [f["method"] for f in result.failures] == ["adamw"]
     assert {row.method for row in result.rows} == {"IVON Mean", "IVON MC-8"}
+    table = report.emit_report(result, cfg, cfg.out_dir)
     with open(os.path.join(cfg.out_dir, "report.txt"), encoding="utf-8") as fh:
-        assert "WARNING: 1 failed run(s) excluded: adamw/seed0" in fh.read()
+        assert fh.read() == table
+    assert "WARNING: 1 failed run(s) excluded: adamw/seed0" in table
+
+
+def test_experiment_writes_no_files(tmp_path):
+    cfg = _small_cfg(out_dir=str(tmp_path / "never_made"))
+    cfg.seeds = [0]
+    cfg.sweep.mc_grid = [2]
+    result = experiment.run_experiment(cfg)
+    experiment.sweep(cfg, "mc_samples")
+    experiment.sweep(cfg, "temperature", artifacts=result.artifacts,
+                     data=(result.train, result.dev))
+    assert os.listdir(tmp_path) == []  # not even the out_dir
+
+
+def test_experiment_does_not_import_report():
+    # report imports experiment; the reverse import would make a cycle
+    with open(experiment.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert not [name for name in imported if name.split(".")[-1] == "report"]
 
 
 # ----------------------------------------------------------------- report --
@@ -726,6 +755,14 @@ def test_cli_failed_run_exit_code(tmp_path):
     assert [f["method"] for f in meta["failures"]] == ["adamw"]
     with open(os.path.join(out, "report.txt"), encoding="utf-8") as fh:
         assert "WARNING: 1 failed run(s) excluded: adamw/seed0" in fh.read()
+
+    # eval trains and exports the surviving run, then exits 4
+    ini = _write_ini(tmp_path, SMALL_INI + "\n[adamw]\nlr = 1e308\n")
+    out = str(tmp_path / "failed_eval")
+    assert cli.run_cli(["eval", "--config", ini, "--seed", "0", "--out", out]) == 4
+    with open(os.path.join(out, "eval_metrics.csv"), encoding="utf-8") as fh:
+        methods = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+    assert methods == ["IVON Mean", "IVON MC-8"]
 
 
 @pytest.mark.parametrize("dev_features, dev_labels", [
