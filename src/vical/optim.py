@@ -131,10 +131,14 @@ def ivon_sample(
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
-    eps = vrng.sample_standard_normal(rng, state.mean.shape[0])
-    var = (temperature * config.ess) * (state.hess + config.weight_decay)
-    sigma = 1.0 / np.sqrt(var)
-    theta = state.mean + eps * sigma
+    # built in place: eps becomes theta, var becomes sigma
+    theta = vrng.sample_standard_normal(rng, state.mean.shape[0])
+    sigma = state.hess + config.weight_decay
+    sigma *= temperature * config.ess
+    np.sqrt(sigma, out=sigma)
+    np.divide(1.0, sigma, out=sigma)
+    theta *= sigma
+    theta += state.mean
     if not _finite(theta):
         raise FloatingPointError("non-finite posterior sample")
     return theta
@@ -155,11 +159,11 @@ def ivon_step(
     """
     theta_used = np.asarray(theta_used, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if theta_used.ndim == 1:
-        gprod = grad * (theta_used - state.mean)
-        gavg = grad
-    else:
-        gprod = np.mean(grad * (theta_used - state.mean), axis=0)
+    gprod = theta_used - state.mean
+    gprod *= grad
+    gavg = grad
+    if theta_used.ndim > 1:
+        gprod = np.mean(gprod, axis=0)
         gavg = np.mean(grad, axis=0)
     if gavg.shape != state.mean.shape:
         raise ValueError("gradient length does not match posterior mean")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,24 +338,134 @@ def test_adamw_core_matches_scalar_reference():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("gprod_scale, b2, delta, c3, floors", [
+IVON_CASES = pytest.mark.parametrize("gprod_scale, b2, delta, c3, floors", [
     (1e-5, 1.0 - 1e-5, 0.0, 0.5e-10, False),
     # no curvature correction and large products: negative ones push h below 0
     (1e-3, 0.5, 1e-3, 0.0, True),
 ])
-def test_ivon_core_matches_scalar_reference(gprod_scale, b2, delta, c3, floors):
+
+
+def _ivon_core_against_reference(gprod_scale, b2, delta, c3, floors, before=None):
     g = _vec(61, 256, scale=0.1)
     gprod = _vec(63, 256, scale=gprod_scale)
     fresh = (_vec(60, 256), np.abs(_vec(62, 256)) + 1e-4, np.zeros(256))
     got = tuple(a.copy() for a in fresh)
     ref = tuple(a.copy() for a in fresh)
     args = (0.01, 0.9, b2, 1e6, delta, 0.1, c3)
+    if before is not None:
+        before()
     ret = _kernels.ivon_core(*got, gprod, g, *args)
     ret_ref = _ivon_reference(*ref, gprod, g, *args)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     assert ret == ret_ref
     assert (ret[1] > 0) == floors
+
+
+@IVON_CASES
+def test_ivon_core_matches_scalar_reference(gprod_scale, b2, delta, c3, floors):
+    _ivon_core_against_reference(gprod_scale, b2, delta, c3, floors)
+
+
+@IVON_CASES
+def test_ivon_core_after_normal_fill_matches_reference(gprod_scale, b2, delta, c3, floors):
+    # normal_fill at the same length leaves its words in the shared scratch set
+    _ivon_core_against_reference(
+        gprod_scale, b2, delta, c3, floors,
+        before=lambda: _kernels.normal_fill(np.uint64(3), np.uint64(0), 256))
+
+
+# ------------------------------------------ kernels at the default size ----
+
+P = 16_132  # parameter count of the default model
+ADAMW_ARGS = (0.01, 0.9, 0.999, 1e-8, 0.1, 0.1, 0.001999)
+IVON_ARGS = (0.01, 0.9, 1.0 - 1e-5, 1e6, 1e-4, 0.1, 0.5e-10)  # delta = 1e-4
+# sha256 after 3 steps: (params, m, v) and (mean, hess, gmom, each min(h+delta))
+ADAMW_PIN = "267b27058796a31bebe03757fcaf357ce22441e9e1b60eeced12c85c0d54253d"
+IVON_PIN = "fc6f3aacc9062e744d7912d554250e66d787dced83d2985644a96389ab12fdde"
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _adamw_inputs(n):
+    return _vec(70, n), _vec(71, n, scale=0.1), np.zeros(n), np.zeros(n)
+
+
+def _ivon_inputs(n):
+    mean, hess = _vec(72, n), np.abs(_vec(73, n)) * 1e-3 + 1e-4
+    return mean, hess, np.zeros(n), _vec(74, n, scale=1e-5), _vec(75, n, scale=0.1)
+
+
+def test_adamw_core_pinned_at_default_size():
+    params, g, m, v = _adamw_inputs(P)
+    for _ in range(3):
+        _kernels.adamw_core(params, g, m, v, *ADAMW_ARGS)
+    assert _sha256(params, m, v) == ADAMW_PIN
+
+
+def test_ivon_core_pinned_at_default_size():
+    mean, hess, gmom, gprod, g = _ivon_inputs(P)
+    rets = [_kernels.ivon_core(mean, hess, gmom, gprod, g, *IVON_ARGS) for _ in range(3)]
+    assert _sha256(mean, hess, gmom, [r[0] for r in rets]) == IVON_PIN
+    assert [r[1] for r in rets] == [0, 0, 0]
+
+
+def test_kernels_alternating_lengths_match_reference():
+    for n in (P, 256, P, 3):
+        params, g, m, v = _adamw_inputs(n)
+        ref = tuple(a.copy() for a in (params, m, v))
+        _kernels.adamw_core(params, g, m, v, *ADAMW_ARGS)
+        _adamw_reference(ref[0], g, ref[1], ref[2], *ADAMW_ARGS)
+        for a, b in zip((params, m, v), ref):
+            assert np.array_equal(a, b)
+        mean, hess, gmom, gprod, g = _ivon_inputs(n)
+        ref = tuple(a.copy() for a in (mean, hess, gmom))
+        ret = _kernels.ivon_core(mean, hess, gmom, gprod, g, *IVON_ARGS)
+        assert ret == _ivon_reference(*ref, gprod, g, *IVON_ARGS)
+        for a, b in zip((mean, hess, gmom), ref):
+            assert np.array_equal(a, b)
+
+
+def test_draws_survive_later_kernel_calls():
+    z = _kernels.normal_fill(np.uint64(5), np.uint64(0), P)
+    kept = z.copy()
+    _kernels.normal_fill(np.uint64(6), np.uint64(0), P)
+    _kernels.ivon_core(*_ivon_inputs(P), *IVON_ARGS)
+    params, g, m, v = _adamw_inputs(P)
+    _kernels.adamw_core(params, g, m, v, *ADAMW_ARGS)
+    assert np.array_equal(z, kept)
+
+
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees during one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, limit", [
+    ("ivon_core", 32 * 1024),
+    ("adamw_core", 32 * 1024),
+    ("normal_fill", 2 * 8 * P),  # the returned draws are 8 * P bytes
+])
+def test_kernels_allocate_no_length_p_temporaries(kernel, limit):
+    # numpy reports its data buffers to tracemalloc
+    adamw, ivon = _adamw_inputs(P), _ivon_inputs(P)
+    calls = {
+        "ivon_core": lambda: _kernels.ivon_core(*ivon, *IVON_ARGS),
+        "adamw_core": lambda: _kernels.adamw_core(*adamw, *ADAMW_ARGS),
+        "normal_fill": lambda: _kernels.normal_fill(np.uint64(5), np.uint64(0), P),
+    }
+    assert _traced_peak(calls[kernel]) < limit
 
 
 # --------------------------------------------------------------- schedule --

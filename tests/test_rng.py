@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -109,3 +110,43 @@ def test_fills_match_scalar_reference(key, counter, n):
     assert np.array_equal(_kernels.uniform_fill(k, c, n), u_ref)
     # vectorized log/cos may differ from libm by an ulp
     assert np.max(np.abs(_kernels.normal_fill(k, c, n) - z_ref)) < 1e-12
+
+
+P = 16_132  # parameter count of the default model
+NORMAL_FILL_PIN = "130463def645595680ee946033076df0823e18c99850a3a3b337675364ec4295"
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_normal_fill_pinned_at_default_size():
+    # 2P counter words starting 1,000 below 2^64: the counter wraps inside the call
+    z = _kernels.normal_fill(np.uint64(0x0123456789ABCDEF), np.uint64((1 << 64) - 1000), P)
+    assert _sha256(z) == NORMAL_FILL_PIN
+
+
+@pytest.mark.parametrize("counter, h", [
+    (5, 1000),
+    ((1 << 64) - 7, 2),  # the tail starts 3 words below 2^64 and wraps
+    ((1 << 64) - 8, P // 2),  # the head wraps
+])
+def test_normal_fill_splits_exactly(counter, h):
+    k = np.uint64(0xDEADBEEF)
+    whole = _kernels.normal_fill(k, np.uint64(counter), P)
+    head = _kernels.normal_fill(k, np.uint64(counter), h)
+    tail = _kernels.normal_fill(k, np.uint64((counter + 2 * h) % (1 << 64)), P - h)
+    assert np.array_equal(whole, np.concatenate([head, tail]))
+
+
+def test_normal_fill_alternating_lengths():
+    k, c = np.uint64(0xDEADBEEF), np.uint64(12345)
+    single = {}
+    for n in (P, 256, 3):
+        _kernels.normal_fill(k, c, n)  # the next call at n follows one at n
+        single[n] = _kernels.normal_fill(k, c, n)
+    for n in (P, 256, P, 3):
+        assert np.array_equal(_kernels.normal_fill(k, c, n), single[n])
