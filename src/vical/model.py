@@ -127,12 +127,19 @@ def _check_labels(labels: np.ndarray, n: int, n_classes: int) -> np.ndarray:
 
 
 def _forward_stack(weights, biases, features: np.ndarray):
-    """Activations per layer; hidden layers are tanh, output is linear."""
+    """Activations per layer; hidden layers are tanh, output is linear.
+
+    The bias add and tanh write into each layer's fresh matmul output, so
+    one activation per layer is allocated and the inputs are never written.
+    """
     acts = [features]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if i == last else np.tanh(z))
+        z = acts[-1] @ w
+        z += b
+        if i != last:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 

@@ -171,12 +171,17 @@ def _digest(loss, *arrays):
     return h.hexdigest()
 
 
-def _pin_case(sizes):
+def _pin_inputs(sizes):
+    """Parameters with nonzero biases, a LoRA adapter with nonzero B, a batch."""
     params = model.init_mlp(sizes, rng.seed_rng(61))
     params.theta[:] += rng.sample_standard_normal(rng.seed_rng(62), params.theta.size) * 0.1
     adapter = model.init_lora(sizes, 2, 3.0, rng.seed_rng(63))
     adapter.phi[:] = rng.sample_standard_normal(rng.seed_rng(64), adapter.phi.size) * 0.3
-    batch = _toy_batch(65, 9, sizes[0], sizes[-1])
+    return params, adapter, _toy_batch(65, 9, sizes[0], sizes[-1])
+
+
+def _pin_case(sizes):
+    params, adapter, batch = _pin_inputs(sizes)
     mlp_loss, mlp_grad = model.loss_and_grad(params, batch)
     lora_loss, lora_grad = model.lora_loss_and_grad(params, adapter, batch)
     return {
@@ -187,7 +192,9 @@ def _pin_case(sizes):
 
 
 # sha256 of repr(loss), the gradient bytes and the logits bytes, recorded
-# before the MLP and LoRA paths shared one forward/backward
+# before the MLP and LoRA paths shared one forward/backward; (16, 768, 4),
+# the default width, recorded before the forward's bias add and tanh ran
+# in place
 MODEL_PINS = {
     (5, 3): {
         "mlp": "d88f8888f9f80a40b8498d39dd4a09979d70a46993c337451c4e92f6b9b325d3",
@@ -196,6 +203,10 @@ MODEL_PINS = {
     (5, 6, 4, 3): {
         "mlp": "95850c9f4d64967a50e9ac65a82a879e4823d0558662a1ae0da07de5fb58eefe",
         "lora": "ff51336b6ed0b11fc0e7043db3e91997281b26e7cef50a4e35f17b80b7ed8025",
+    },
+    (16, 768, 4): {
+        "mlp": "820ea0a9143dd0d54e5e3dbc624f75406653adc385d93fded392bee56b54191d",
+        "lora": "ce184f193b38e6539f50926cfba592f9b921dd087171d3781452f24bd760ece1",
     },
 }
 
@@ -209,6 +220,29 @@ LORA_TRAIN_PINS = {
 def test_model_outputs_pinned():
     for sizes, want in MODEL_PINS.items():
         assert _pin_case(sizes) == want, sizes
+
+
+@pytest.mark.parametrize("sizes", list(MODEL_PINS))
+def test_model_calls_leave_inputs_unchanged(sizes):
+    # the forward adds the bias and applies tanh in place; those writes must
+    # stay inside each layer's fresh matmul output
+    params, adapter, batch = _pin_inputs(sizes)
+    inputs = (batch.features, batch.labels, params.theta, adapter.phi)
+    before = [a.tobytes() for a in inputs]
+    model.forward(params, batch.features)
+    model.loss_and_grad(params, batch)
+    model.lora_forward(params, adapter, batch.features)
+    model.lora_loss_and_grad(params, adapter, batch)
+    assert [a.tobytes() for a in inputs] == before
+
+
+def test_forward_holds_one_activation_at_a_time(traced_peak):
+    # one 1000 x 768 hidden activation is 1000 * 768 * 8 bytes; a second
+    # one alive beside it (an out-of-place bias add or tanh) breaks the bound
+    sizes = (16, 768, 4)
+    params = model.init_mlp(sizes, rng.seed_rng(3))
+    x = _toy_batch(7, 1000, 16, 4).features
+    assert traced_peak(lambda: model.forward(params, x)) < 1.5 * 1000 * 768 * 8
 
 
 def test_lora_training_pinned():

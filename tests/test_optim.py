@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,31 +440,19 @@ def test_draws_survive_later_kernel_calls():
     assert np.array_equal(z, kept)
 
 
-def _traced_peak(call):
-    """Peak bytes tracemalloc sees during one call, after a warm-up call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("kernel, limit", [
     ("ivon_core", 32 * 1024),
     ("adamw_core", 32 * 1024),
     ("normal_fill", 2 * 8 * P),  # the returned draws are 8 * P bytes
 ])
-def test_kernels_allocate_no_length_p_temporaries(kernel, limit):
-    # numpy reports its data buffers to tracemalloc
+def test_kernels_allocate_no_length_p_temporaries(kernel, limit, traced_peak):
     adamw, ivon = _adamw_inputs(P), _ivon_inputs(P)
     calls = {
         "ivon_core": lambda: _kernels.ivon_core(*ivon, *IVON_ARGS),
         "adamw_core": lambda: _kernels.adamw_core(*adamw, *ADAMW_ARGS),
         "normal_fill": lambda: _kernels.normal_fill(np.uint64(5), np.uint64(0), P),
     }
-    assert _traced_peak(calls[kernel]) < limit
+    assert traced_peak(calls[kernel]) < limit
 
 
 # --------------------------------------------------------------- schedule --
