@@ -7,12 +7,11 @@ Subcommands: gen-data, train, eval, run, sweep. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
 from typing import List, Optional
-
-import numpy as np
 
 from . import experiment, report
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
@@ -32,13 +31,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, optimizer: bool = True,
-               seeds: bool = False) -> None:
+               seeds: bool = False, out: bool = True) -> None:
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, help="run a single seed")
         if seeds:
             p.add_argument("--seeds", type=int, metavar="N",
                            help="run seeds 0..N-1 (overrides the config list)")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        if out:
+            p.add_argument("--out", metavar="DIR", help="output directory")
         if optimizer:
             p.add_argument("--optimizer", choices=["adamw", "ivon", "both"])
 
@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "configured synthetic task")
     common(p, optimizer=False)
 
-    p = sub.add_parser("train", help="train one seed and save the artifact")
-    common(p)
+    p = sub.add_parser("train", help="train one seed and print its epoch losses")
+    common(p, out=False)
 
     p = sub.add_parser("eval", help="train one seed, evaluate, export curves")
     common(p)
@@ -100,21 +100,6 @@ def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _save_artifact(art: experiment.TrainedArtifact, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"artifact_{art.method}_seed{art.seed}.npz")
-    if art.method == "adamw":
-        np.savez(path, method=art.method, seed=art.seed, params=art.params,
-                 epoch_losses=np.array(art.epoch_losses))
-    else:
-        np.savez(path, method=art.method, seed=art.seed,
-                 mean=art.posterior.mean, hess=art.posterior.hess,
-                 g_mom=art.posterior.g_mom, t=art.posterior.t,
-                 min_hdelta=art.min_hdelta,
-                 epoch_losses=np.array(art.epoch_losses))
-    return path
-
-
 def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
@@ -122,8 +107,6 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         art = experiment.train_one(cfg, seed, method, data=data)
         losses = ", ".join(f"{v:.4f}" for v in art.epoch_losses)
         print(f"{method} seed {seed}: {art.steps} steps, epoch losses [{losses}]")
-        path = _save_artifact(art, cfg.out_dir)
-        print(f"saved {path}")
     return 0
 
 
@@ -164,10 +147,41 @@ _COMMANDS = {
 }
 
 
+def _openblas_libs() -> List[str]:
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+
+
+def _set_blas_threads(n: int) -> None:
+    """Run the loaded OpenBLAS on n threads, or log that it cannot be set."""
+    for lib in _openblas_libs():
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # e.g. a mapping whose file was deleted
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                setter(n)
+                return
+    log.info("no OpenBLAS thread setter found; BLAS keeps its thread count")
+
+
 def run_cli(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # vical's GEMMs (4 x 16 x 768 per training step, 1,000 x 16 x 768 at
+    # most) are too small to share: a second thread costs CPU and memory for
+    # little or no wall time, and gives the same bytes. Library callers keep
+    # their own setting.
+    _set_blas_threads(1)
     try:
         cfg = _configure(args)
         return _COMMANDS[args.command](cfg, args)

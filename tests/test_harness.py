@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import importlib.util
 import json
+import logging
 import os
 import pickle
 import subprocess
@@ -15,6 +17,8 @@ from vical.config import (
     validate_config,
 )
 from vical.experiment import ReportRow, TrainingDiverged
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _small_cfg(out_dir=None, **overrides):
@@ -268,6 +272,24 @@ def test_divergence_is_reported():
     with pytest.raises(TrainingDiverged) as err:
         experiment.train_one(cfg, 0, "adamw")
     assert err.value.method == "adamw" and err.value.seed == 0
+
+
+def test_ivon_divergence_step_pinned(tmp_path):
+    # the mean's weight-decay term multiplies it by about -lr*delta/(h+delta)
+    # per step until it overflows; the step is pinned so that moving the
+    # finiteness checks cannot move the reported step unnoticed
+    cfg = _small_cfg(out_dir=str(tmp_path / "diverged"), optimizer="ivon", seeds=[0])
+    cfg.ivon.lr = 1e60
+    cfg.ivon.weight_decay = 1e-3
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as err:
+            experiment.train_one(cfg, 0, "ivon")
+        result = experiment.run_experiment(cfg)
+    assert (err.value.method, err.value.seed, err.value.step) == ("ivon", 0, 5)
+    report.emit_report(result, cfg, cfg.out_dir)
+    with open(os.path.join(cfg.out_dir, "metadata.json"), encoding="utf-8") as fh:
+        failures = json.load(fh)["failures"]
+    assert [(f["method"], f["seed"], f["step"]) for f in failures] == [("ivon", 0, 5)]
 
 
 def test_lora_variant_trains():
@@ -616,16 +638,17 @@ def test_cli_run_and_rerun_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_train_saves_artifacts(tmp_path):
+def test_cli_train_prints_losses_and_writes_nothing(tmp_path, monkeypatch, capsys):
     ini = _write_ini(tmp_path)
-    out = str(tmp_path / "train_out")
-    code = cli.run_cli(
-        ["train", "--config", ini, "--out", out, "--seed", "3",
-         "--optimizer", "ivon"]
-    )
-    assert code == 0
-    blob = np.load(os.path.join(out, "artifact_ivon_seed3.npz"))
-    assert blob["mean"].shape[0] > 0 and float(blob["min_hdelta"]) > 0.0
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.run_cli(["train", "--config", ini, "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" seed 3: ")[0] for line in lines] == ["adamw", "ivon"]
+    assert all(" seed 3: 12 steps, epoch losses [" in line for line in lines)
+    assert sorted(os.listdir(tmp_path)) == ["cwd", "exp.ini"]
+    assert os.listdir(work) == []
 
 
 # sha256 of `vical eval --seed 0 --mc-samples 4 --temperature 10` on SMALL_INI
@@ -819,8 +842,7 @@ print(json.dumps({"codes": codes, "wrapped": sorted(tracer.wrapped),
 
 
 def test_benchmark_span_wrappers_are_called(tmp_path):
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(os.path.join(repo, d) for d in ("src", "perfbench"))
+    path = os.pathsep.join(os.path.join(REPO, d) for d in ("src", "perfbench"))
     proc = subprocess.run(
         [sys.executable, "-c", SPAN_GUARD, _write_ini(tmp_path), str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": path},
@@ -838,3 +860,83 @@ def test_benchmark_span_wrappers_are_called(tmp_path):
         "experiment.run_experiment", "report", "cli",
     }
     assert got["called"] == got["wrapped"]
+
+
+# ------------------------------------------------------------ BLAS threads --
+
+def _blas_threads():
+    """The loaded OpenBLAS's thread count, read by perfbench's own getter
+    (None when numpy's BLAS is not an OpenBLAS that can be asked)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(REPO, "perfbench", "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker.blas_facts()["blas_threads"]
+
+
+# the small config through the library, as a user's script runs it; prints
+# the BLAS thread count the run used
+LIBRARY_RUN = """
+import sys
+import worker
+from vical import config, experiment, report
+ini, out = sys.argv[1], sys.argv[2]
+cfg = config.load_config(ini)
+cfg.out_dir = out
+report.emit_report(experiment.run_experiment(cfg), cfg, out)
+print(worker.blas_facts()["blas_threads"])
+"""
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the core count, so one "
+                    "core cannot run 2 threads")
+    ini = _write_ini(tmp_path)
+    path = os.pathsep.join(os.path.join(REPO, d) for d in ("src", "perfbench"))
+    runs = {}
+    for threads in (1, 2):
+        out = str(tmp_path / f"library_{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-c", LIBRARY_RUN, ini, out],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the library keeps the caller's setting
+        assert proc.stdout.split()[-1] == str(threads)
+        runs[f"library, {threads} BLAS threads"] = out
+    out = str(tmp_path / "cli")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vical", "run", "--config", ini, "--out", out],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs["vical run"] = out
+    for name in ("report.csv", "report.txt", "metadata.json"):
+        blobs = {}
+        for run, run_dir in runs.items():
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                blobs[run] = fh.read()
+        assert len(set(blobs.values())) == 1, f"{name} differs: {sorted(blobs)}"
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    if _blas_threads() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its thread count")
+    if (os.cpu_count() or 1) >= 2:
+        cli._set_blas_threads(2)  # so that reading 1 below shows the CLI set it
+        assert _blas_threads() == 2
+    assert cli.run_cli(["run", "--config", _write_ini(tmp_path),
+                        "--out", str(tmp_path / "run")]) == 0
+    assert _blas_threads() == 1
+
+
+def test_cli_runs_without_a_blas_thread_setter(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(cli, "_openblas_libs", lambda: [])
+    caplog.set_level(logging.INFO, logger="vical")
+    assert cli.run_cli(["run", "--config", _write_ini(tmp_path),
+                        "--out", str(tmp_path / "run")]) == 0
+    notes = [r for r in caplog.records if "OpenBLAS" in r.getMessage()]
+    assert [r.levelno for r in notes] == [logging.INFO]
