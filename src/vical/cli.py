@@ -191,7 +191,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except DataError as exc:
         log.error("data error: %s", exc)
         return 3
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, FloatingPointError) as exc:  # the latter from sweep's evaluation
         log.error("run failure: %s", exc)
         return 4
 

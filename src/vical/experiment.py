@@ -296,7 +296,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             try:
                 art = train_one(cfg, seed, method, data=(train, dev))
                 artifacts[(method, seed)] = art
-                evals.extend(evaluate_one(art, dev, cfg))
+                try:
+                    evals.extend(evaluate_one(art, dev, cfg))
+                except FloatingPointError as exc:  # e.g. a posterior draw overflows
+                    raise TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}") from exc
             except TrainingDiverged as exc:
                 log.error("%s", exc)
                 failures.append({

@@ -7,7 +7,8 @@ matrix in row-major order (shape fan_in x fan_out), then the bias.
 
 One forward pass (``_logits``) and one backward pass (``_layer_grads``)
 serve both models; they take per-layer weights and biases and return
-logits, or the loss and per-layer (dW, db).
+logits, or the loss with the per-layer (dW, db) written into views of a
+flat gradient vector.
 
 The LoRA variant is only a weight map around them. It keeps a frozen
 base vector and trains low-rank factors A (fan_in x r) and B (r x out)
@@ -85,17 +86,6 @@ def unflatten(theta: np.ndarray, sizes: Sequence[int]) -> List[Tuple[np.ndarray,
                   [((fi, fo), (fo,)) for fi, fo in layer_shapes(sizes)])
 
 
-def flatten(layers: Sequence[Tuple[np.ndarray, np.ndarray]], sizes: Sequence[int]) -> np.ndarray:
-    """Pack per-layer (W, b) arrays into a fresh flat vector."""
-    shapes = layer_shapes(sizes)
-    if len(layers) != len(shapes):
-        raise ValueError("layer count does not match sizes")
-    for (w, b), (fi, fo) in zip(layers, shapes):
-        if w.shape != (fi, fo) or b.shape != (fo,):
-            raise ValueError(f"layer shape mismatch: got {w.shape}/{b.shape}")
-    return np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
-
-
 def init_mlp(sizes: Sequence[int], rng: vrng.RngState) -> MlpParams:
     """Weights ~ N(0, 1/fan_in), biases zero, drawn layer by layer."""
     sizes = tuple(int(s) for s in sizes)
@@ -163,20 +153,22 @@ def _ce_from_logits(logits: np.ndarray, labels: np.ndarray):
     return loss, dz
 
 
-def _layer_grads(weights, biases, batch: Batch):
-    """Mean cross-entropy and the per-layer (dW, db) for these weights."""
+def _layer_grads(weights, biases, batch: Batch, grads) -> float:
+    """Mean cross-entropy for these weights; writes each layer's (dW, db)
+    into the views ``grads`` holds."""
     x = _check_features(batch.features, weights[0].shape[0])
     y = _check_labels(batch.labels, x.shape[0], weights[-1].shape[1])
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     acts = _forward_stack(weights, biases, x)
     loss, dz = _ce_from_logits(acts[-1], y)
-    grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
         if i > 0:
             dz = (dz @ weights[i].T) * (1.0 - acts[i] * acts[i])  # tanh'
-    return loss, grads
+    return loss
 
 
 def forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
@@ -186,10 +178,10 @@ def forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: MlpParams, batch: Batch) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy and its exact gradient as a flat vector."""
+    """Mean cross-entropy and its exact gradient as a new flat vector."""
     weights, biases = zip(*unflatten(params.theta, params.sizes))
-    loss, grads = _layer_grads(weights, biases, batch)
-    return loss, flatten(grads, params.sizes)
+    grad = np.empty_like(params.theta)
+    return _layer_grads(weights, biases, batch, unflatten(grad, params.sizes)), grad
 
 
 # ------------------------------------------------------------------ LoRA ---
@@ -236,10 +228,12 @@ def lora_forward(base: MlpParams, adapter: LoraAdapter, features: np.ndarray) ->
 
 
 def lora_loss_and_grad(base: MlpParams, adapter: LoraAdapter, batch: Batch) -> Tuple[float, np.ndarray]:
-    """Loss with adapted weights; gradient only over the (A, B) entries."""
+    """Loss with adapted weights; gradient only over the (A, B) entries, as
+    a new flat vector."""
     weights, biases, pairs, scale = _effective_weights(base, adapter)
-    loss, grads = _layer_grads(weights, biases, batch)
+    base_grads = unflatten(np.empty_like(base.theta), base.sizes)
+    loss = _layer_grads(weights, biases, batch, base_grads)
     blocks = []
-    for (a, b), (dw, _) in zip(pairs, grads):
+    for (a, b), (dw, _) in zip(pairs, base_grads):
         blocks += [scale * (dw @ b.T), scale * (a.T @ dw)]
     return loss, np.concatenate([g.ravel() for g in blocks])

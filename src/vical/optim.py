@@ -3,8 +3,8 @@
 IVON maintains a diagonal Gaussian posterior N(m, 1/(lam*(h+delta))).
 One step applies, in order:
 
-  (1) hhat = grad * (theta_used - m) / sigma^2, with sigma^2 the current
-      per-coordinate variance (averaged over samples when M > 1);
+  (1) hhat = grad * (theta - m) / sigma^2 at a posterior draw theta, with
+      sigma^2 the current variance (each term averaged over M draws);
   (2) g_mom <- b1*g_mom + (1-b1)*grad;
   (3) h <- b2*h + (1-b2)*hhat + 0.5*(1-b2)^2*(h-hhat)^2/(h+delta);
   (4) t <- t+1, debiased gbar = g_mom/(1-b1^t);
@@ -131,14 +131,16 @@ def ivon_sample(
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
-    # built in place: eps becomes theta, var becomes sigma
+    # built in place: eps becomes theta, var becomes sigma; a variance that
+    # underflows or overflows is reported by the check below, not by numpy
     theta = vrng.sample_standard_normal(rng, state.mean.shape[0])
     sigma = state.hess + config.weight_decay
-    sigma *= temperature * config.ess
-    np.sqrt(sigma, out=sigma)
-    np.divide(1.0, sigma, out=sigma)
-    theta *= sigma
-    theta += state.mean
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma *= temperature * config.ess
+        np.sqrt(sigma, out=sigma)
+        np.divide(1.0, sigma, out=sigma)
+        theta *= sigma
+        theta += state.mean
     if not _finite(theta):
         raise FloatingPointError("non-finite posterior sample")
     return theta
@@ -146,36 +148,29 @@ def ivon_sample(
 
 def ivon_step(
     state: PosteriorState,
-    theta_used: np.ndarray,
-    grad: np.ndarray,
+    gprod: np.ndarray,
+    gavg: np.ndarray,
     config: IvonConfig,
     lr_t: float,
 ) -> float:
-    """One IVON update, in place; returns min(h+delta) after it. See the
-    module docstring for the recursions.
+    """One IVON update, in place; returns min(h+delta) after it.
 
-    For M > 1, pass theta_used and grad as [M, P] arrays; the Hessian
-    product and the gradient are averaged over rows before the update.
+    ``gprod`` is (theta - m)*grad and ``gavg`` is grad, each averaged over
+    the step's posterior draws. See the module docstring for the recursions.
     """
-    theta_used = np.asarray(theta_used, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    gprod = theta_used - state.mean
-    gprod *= grad
-    gavg = grad
-    if theta_used.ndim > 1:
-        gprod = np.mean(gprod, axis=0)
-        gavg = np.mean(grad, axis=0)
-    if gavg.shape != state.mean.shape:
+    if gprod.shape != state.mean.shape or gavg.shape != state.mean.shape:
         raise ValueError("gradient length does not match posterior mean")
 
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     c3 = 0.5 * (1.0 - config.beta2) ** 2
-    min_hd, floored = _kernels.ivon_core(
-        state.mean, state.hess, state.g_mom, gprod, gavg,
-        float(lr_t), config.beta1, config.beta2,
-        config.ess, config.weight_decay, bc1, c3,
-    )
+    # an update that overflows is reported by the checks below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        min_hd, floored = _kernels.ivon_core(
+            state.mean, state.hess, state.g_mom, gprod, gavg,
+            float(lr_t), config.beta1, config.beta2,
+            config.ess, config.weight_decay, bc1, c3,
+        )
     if floored:
         log.warning("ivon_step t=%d: floored %d negative h entries", state.t, floored)
     # the kernel's min is taken before the floor; a floored entry's h+delta is delta
@@ -192,20 +187,31 @@ def ivon_step(
 def ivon_train_step(state: PosteriorState, config: IvonConfig, objective: Callable,
                     batch, rng: vrng.RngState, lr_t: float) -> Tuple[float, float]:
     """One IVON training step, in place: train_samples posterior draws, the
-    (loss, gradient) of ``objective(theta, batch)`` at each, each gradient
-    clipped elementwise to +-grad_clip when that is > 0, then one ivon_step.
-    Returns the mean loss over the draws and min(h+delta) after the step.
+    (loss, gradient) of ``objective(theta, batch)`` at each, clipped to
+    +-grad_clip when that is > 0, then one ivon_step on the draws' mean
+    (theta - m)*grad and grad. The objective must return a new gradient on
+    every call, as it is written in place. Returns the mean loss over the
+    draws and min(h+delta) after the step.
     """
-    thetas = [ivon_sample(state, config, rng, 1.0) for _ in range(config.train_samples)]
-    losses, grads = zip(*(objective(theta, batch) for theta in thetas))
     clip = config.grad_clip
-    if clip > 0.0:
-        grads = [np.clip(grad, -clip, clip) for grad in grads]
-    if len(thetas) == 1:
-        min_hd = ivon_step(state, thetas[0], grads[0], config, lr_t)
-    else:
-        min_hd = ivon_step(state, np.stack(thetas), np.stack(grads), config, lr_t)
-    return float(np.mean(losses)), min_hd
+    losses = []
+    for k in range(config.train_samples):
+        theta = ivon_sample(state, config, rng, 1.0)
+        loss, grad = objective(theta, batch)
+        losses.append(loss)
+        if clip > 0.0:
+            np.clip(grad, -clip, clip, out=grad)
+        theta -= state.mean  # theta becomes (theta - m)*grad
+        theta *= grad
+        if k == 0:
+            gprod, gavg = theta, grad
+        else:
+            gprod += theta
+            gavg += grad
+    if config.train_samples > 1:
+        gprod /= config.train_samples
+        gavg /= config.train_samples
+    return float(np.mean(losses)), ivon_step(state, gprod, gavg, config, lr_t)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

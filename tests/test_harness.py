@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -277,11 +278,13 @@ def test_divergence_is_reported():
 def test_ivon_divergence_step_pinned(tmp_path):
     # the mean's weight-decay term multiplies it by about -lr*delta/(h+delta)
     # per step until it overflows; the step is pinned so that moving the
-    # finiteness checks cannot move the reported step unnoticed
+    # finiteness checks cannot move the reported step unnoticed; the
+    # overflow reaches the user as that report, never as a numpy warning
     cfg = _small_cfg(out_dir=str(tmp_path / "diverged"), optimizer="ivon", seeds=[0])
     cfg.ivon.lr = 1e60
     cfg.ivon.weight_decay = 1e-3
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged) as err:
             experiment.train_one(cfg, 0, "ivon")
         result = experiment.run_experiment(cfg)
@@ -786,6 +789,41 @@ def test_cli_failed_run_exit_code(tmp_path):
     with open(os.path.join(out, "eval_metrics.csv"), encoding="utf-8") as fh:
         methods = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
     assert methods == ["IVON Mean", "IVON MC-8"]
+
+
+def test_cli_evaluation_failure_exit_code(tmp_path, caplog):
+    # ess = 1 with T = 5e-324 underflows the posterior variance, so every
+    # MC draw is non-finite once training has succeeded
+    ini = _write_ini(tmp_path, SMALL_INI + "\n[ivon]\ness = 1\n"
+                     "\n[eval]\ntemperatures = 5e-324\n"
+                     "\n[sweep]\ntemperature_grid = 1.0, 5e-324\n")
+
+    def errors():
+        found = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        caplog.clear()
+        return found
+
+    out = str(tmp_path / "run")
+    assert cli.run_cli(["run", "--config", ini, "--out", out, "--seed", "0"]) == 4
+    assert errors() == ["ivon seed 0 diverged at step 12: "
+                        "evaluation: non-finite posterior sample",
+                        "1 run(s) failed; see metadata.json"]
+    with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["failures"] == [{
+            "method": "ivon", "seed": 0, "step": 12,
+            "detail": "evaluation: non-finite posterior sample"}]
+    with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == ["AdamW"]
+
+    out = str(tmp_path / "eval")
+    assert cli.run_cli(["eval", "--config", ini, "--seed", "0", "--out", out]) == 4
+    assert len(errors()) == 1
+    with open(os.path.join(out, "eval_metrics.csv"), encoding="utf-8") as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == ["AdamW"]
+
+    assert cli.run_cli(["sweep", "--config", ini, "--axis", "temperature", "--seed", "0",
+                        "--out", str(tmp_path / "sweep")]) == 4
+    assert errors() == ["run failure: non-finite posterior sample"]
 
 
 @pytest.mark.parametrize("dev_features, dev_labels", [

@@ -48,24 +48,27 @@ def test_init_layout_and_scale():
     assert abs(w1.std() * 4.0 - 1.0) < 0.15
 
 
-def test_flatten_unflatten_roundtrip():
+def test_unflatten_views_layer_major():
     sizes = (5, 7, 3)
     params = model.init_mlp(sizes, rng.seed_rng(2))
-    rebuilt = model.flatten(model.unflatten(params.theta, sizes), sizes)
-    assert np.array_equal(rebuilt, params.theta)
+    layers = model.unflatten(params.theta, sizes)
     # layer-major order: first weight matrix occupies the leading block
-    w1 = model.unflatten(params.theta, sizes)[0][0]
-    assert np.array_equal(params.theta[: 5 * 7], w1.reshape(-1))
-
-
-def test_flatten_rejects_wrong_shapes():
-    sizes = (5, 7, 3)
-    mats = model.unflatten(model.init_mlp(sizes, rng.seed_rng(2)).theta, sizes)
-    bad = [(np.zeros((5, 6)), mats[0][1])] + list(mats[1:])
-    with pytest.raises(ValueError):
-        model.flatten(bad, sizes)
+    assert np.array_equal(params.theta[: 5 * 7], layers[0][0].reshape(-1))
+    assert all(np.shares_memory(a, params.theta) for layer in layers for a in layer)
     with pytest.raises(ValueError):
         model.unflatten(np.zeros(3), sizes)
+
+
+def test_gradients_are_new_arrays():
+    # ivon_train_step clips and sums into the returned gradient in place
+    params, adapter, batch = _pin_inputs((5, 6, 4, 3))
+    for call in (lambda: model.loss_and_grad(params, batch)[1],
+                 lambda: model.lora_loss_and_grad(params, adapter, batch)[1]):
+        first, second = call(), call()
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        for owner in (params.theta, adapter.phi, batch.features):
+            assert not np.shares_memory(first, owner)
 
 
 def test_forward_validates_input():

@@ -129,11 +129,11 @@ def test_sample_temperature_and_determinism():
 
 
 def test_ivon_step_hessian_hand_value():
-    # theta_used = m makes hhat zero; recursion gives
+    # a draw at the mean makes gprod and hhat zero; recursion gives
     # (1 - 1e-5)*1e-3 + 0.5e-10*1e-3 exactly
     cfg = optim.IvonConfig(lr=0.0, ess=1e7, hess_init=1e-3)
     state = optim.init_posterior(np.zeros(3), cfg)
-    min_hd = optim.ivon_step(state, state.mean.copy(), np.full(3, 0.25), cfg, 0.0)
+    min_hd = optim.ivon_step(state, np.zeros(3), np.full(3, 0.25), cfg, 0.0)
     assert np.max(np.abs(state.hess - 0.00099999000005)) < 1e-17
     assert min_hd == float(state.hess.min()) + cfg.weight_decay
     assert state.t == 1
@@ -144,7 +144,8 @@ def test_ivon_step_floor_returns_delta():
     cfg = optim.IvonConfig(lr=0.0, ess=1.0, hess_init=1.0, weight_decay=1e-4, beta2=0.5)
     state = optim.init_posterior(np.zeros(4), cfg)
     state.hess[:] = 0.0
-    assert optim.ivon_step(state, state.mean + 1.0, np.full(4, -2.0), cfg, 0.0) == 1e-4
+    grad = np.full(4, -2.0)
+    assert optim.ivon_step(state, grad, grad, cfg, 0.0) == 1e-4
     assert state.hess.min() == 0.0
 
 
@@ -156,14 +157,14 @@ def test_ivon_step_floor_without_delta_collapses():
     state.hess[:] = -1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="collapsed"):
-            optim.ivon_step(state, state.mean + 1.0, np.ones(4), cfg, 0.0)
+            optim.ivon_step(state, np.ones(4), np.ones(4), cfg, 0.0)
 
 
 def test_ivon_step_zero_grad_keeps_mean():
     cfg = optim.IvonConfig(lr=0.05, ess=1e6, hess_init=1e-3)
     state = optim.init_posterior(_vec(11, 6), cfg)
     before = state.mean.copy()
-    optim.ivon_step(state, before + 0.01, np.zeros(6), cfg, 0.05)
+    optim.ivon_step(state, np.zeros(6), np.zeros(6), cfg, 0.05)
     assert np.array_equal(state.mean, before)
 
 
@@ -188,20 +189,21 @@ def test_ivon_step_matches_hand_recursion():
         theta = optim.ivon_sample(state, cfg, rng.child(rng.seed_rng(13), k))
         grad = _vec(20 + k, 9, scale=0.3)
         mean, hess, gmom, t = _hand_ivon(mean, hess, gmom, t, theta, grad, cfg, 0.02)
-        optim.ivon_step(state, theta, grad, cfg, 0.02)
+        optim.ivon_step(state, (theta - state.mean) * grad, grad, cfg, 0.02)
     assert np.max(np.abs(state.mean - mean)) < 1e-12
     assert np.max(np.abs(state.hess - hess)) < 1e-12
     assert np.max(np.abs(state.g_mom - gmom)) < 1e-12
 
 
-def test_ivon_step_averages_train_samples():
+def test_ivon_train_step_averages_train_samples():
+    # loss 0.5*sum(a*theta^2) at each of M = 2 draws: the step averages the
+    # draws' Hessian products and gradients, then makes one update
+    a = np.array([0.3, 1.0, 2.5, 7.0, 0.8])
     cfg = optim.IvonConfig(lr=0.02, ess=3e4, hess_init=2e-3, train_samples=2)
     state = optim.init_posterior(_vec(14, 5), cfg)
-    thetas = np.stack([
-        optim.ivon_sample(state, cfg, rng.child(rng.seed_rng(15), i)) for i in range(2)
-    ])
-    grads = np.stack([_vec(30 + i, 5, scale=0.2) for i in range(2)])
-    # reference: average the per-sample Hessian products, then one update
+    draws = rng.child(rng.seed_rng(15), 0)
+    thetas = np.stack([optim.ivon_sample(state, cfg, draws) for _ in range(2)])
+    grads = a * thetas
     mean0, hess0 = state.mean.copy(), state.hess.copy()
     hd = hess0 + cfg.weight_decay
     hhat = np.mean(grads * (thetas - mean0), axis=0) * cfg.ess * hd
@@ -212,9 +214,16 @@ def test_ivon_step_averages_train_samples():
         + 0.5 * (1.0 - cfg.beta2) ** 2 * (hess0 - hhat) ** 2 / hd
     )
     mref = mean0 - 0.02 * (gmom / (1.0 - cfg.beta1)) / (hnew + cfg.weight_decay)
-    optim.ivon_step(state, thetas, grads, cfg, 0.02)
+
+    def objective(theta, batch):
+        return 0.5 * float(np.sum(a * theta * theta)), a * theta
+
+    loss, min_hd = optim.ivon_train_step(state, cfg, objective, None,
+                                         rng.child(rng.seed_rng(15), 0), 0.02)
+    assert loss == pytest.approx(np.mean(0.5 * np.sum(a * thetas * thetas, axis=1)))
     assert np.max(np.abs(state.hess - hnew)) < 1e-12
     assert np.max(np.abs(state.mean - mref)) < 1e-12
+    assert min_hd == float(np.min(state.hess)) + cfg.weight_decay
 
 
 def test_hessian_estimator_unbiased_on_quadratic():
@@ -251,7 +260,7 @@ def test_hessian_stays_positive_under_adversarial_updates():
             hd = hs + delta
             # choose grads so hhat = hh_scale exactly at theta - m = 1
             grad = np.full(hs.size, hh_scale) / hd
-            optim.ivon_step(state, state.mean + 1.0, grad, cfg, 0.0)
+            optim.ivon_step(state, grad, grad, cfg, 0.0)
             assert np.all(state.hess + delta >= 0.499 * hd)
 
 
@@ -278,7 +287,7 @@ def test_ivon_limit_of_large_ess_is_deterministic():
             _, grad = model.loss_and_grad(
                 model.MlpParams(sizes=sizes, theta=theta), batch
             )
-            optim.ivon_step(state, theta, grad, cfg, cfg.lr)
+            optim.ivon_step(state, (theta - state.mean) * grad, grad, cfg, cfg.lr)
         return state.mean
 
     gaps = []
