@@ -154,6 +154,9 @@ def _epoch_order(shuffle_rng: vrng.RngState, n: int) -> np.ndarray:
     return np.argsort(vrng.sample_uniform(shuffle_rng, n), kind="stable")
 
 
+# numpy's float warnings are silenced where a FloatingPointError becomes a
+# reported failure; one errstate each, as numpy < 2 cannot nest one instance
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_one(
     cfg: ExperimentConfig,
     seed: int,
@@ -236,6 +239,7 @@ def mc_tag(k: int, temperature: float) -> str:
     return tag
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate_one(
     artifact: TrainedArtifact,
     dev: model.Batch,
@@ -309,6 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(_aggregate(evals), evals, artifacts, failures, train, dev)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sweep(
     cfg: ExperimentConfig,
     axis: str,

@@ -134,12 +134,9 @@ def _forward_stack(weights, biases, features: np.ndarray):
 
 
 def _logits(weights, biases, features: np.ndarray) -> np.ndarray:
-    """Checked features in, finite logits out."""
+    """Checked features in, logits out; ``numeric`` checks the logits."""
     x = _check_features(features, weights[0].shape[0])
-    logits = _forward_stack(weights, biases, x)[-1]
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in forward pass")
-    return logits
+    return _forward_stack(weights, biases, x)[-1]
 
 
 def _ce_from_logits(logits: np.ndarray, labels: np.ndarray):

@@ -1,4 +1,7 @@
-"""Stable softmax primitives shared by the model and prediction layers."""
+"""Stable softmax primitives shared by the model and prediction layers.
+
+The one logits check: empty input raises ValueError, a NaN or inf raises
+FloatingPointError, which training and evaluation report as a failed run."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
     if arr.size == 0:
         raise ValueError("softmax input is empty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("softmax input contains non-finite values")
+        raise FloatingPointError("softmax input contains non-finite values")
     return arr
 
 

@@ -131,16 +131,14 @@ def ivon_sample(
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
-    # built in place: eps becomes theta, var becomes sigma; a variance that
-    # underflows or overflows is reported by the check below, not by numpy
+    # built in place: eps becomes theta, var becomes sigma
     theta = vrng.sample_standard_normal(rng, state.mean.shape[0])
     sigma = state.hess + config.weight_decay
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigma *= temperature * config.ess
-        np.sqrt(sigma, out=sigma)
-        np.divide(1.0, sigma, out=sigma)
-        theta *= sigma
-        theta += state.mean
+    sigma *= temperature * config.ess
+    np.sqrt(sigma, out=sigma)
+    np.divide(1.0, sigma, out=sigma)
+    theta *= sigma
+    theta += state.mean
     if not _finite(theta):
         raise FloatingPointError("non-finite posterior sample")
     return theta
@@ -164,13 +162,11 @@ def ivon_step(
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     c3 = 0.5 * (1.0 - config.beta2) ** 2
-    # an update that overflows is reported by the checks below, not by numpy
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        min_hd, floored = _kernels.ivon_core(
-            state.mean, state.hess, state.g_mom, gprod, gavg,
-            float(lr_t), config.beta1, config.beta2,
-            config.ess, config.weight_decay, bc1, c3,
-        )
+    min_hd, floored = _kernels.ivon_core(
+        state.mean, state.hess, state.g_mom, gprod, gavg,
+        float(lr_t), config.beta1, config.beta2,
+        config.ess, config.weight_decay, bc1, c3,
+    )
     if floored:
         log.warning("ivon_step t=%d: floored %d negative h entries", state.t, floored)
     # the kernel's min is taken before the floor; a floored entry's h+delta is delta

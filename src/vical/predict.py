@@ -45,8 +45,6 @@ def predict_mc(
     """Average logits over k posterior samples at temperature T, then softmax."""
     if k < 1:
         raise ValueError("mc sample count must be >= 1")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0")
     total = None
     for i in range(k):
         theta = optim.ivon_sample(state, config, vrng.child(rng, i), temperature)

@@ -275,7 +275,7 @@ def test_divergence_is_reported():
     assert err.value.method == "adamw" and err.value.seed == 0
 
 
-def test_ivon_divergence_step_pinned(tmp_path):
+def test_ivon_divergence_step_pinned(tmp_path, caplog):
     # the mean's weight-decay term multiplies it by about -lr*delta/(h+delta)
     # per step until it overflows; the step is pinned so that moving the
     # finiteness checks cannot move the reported step unnoticed; the
@@ -293,6 +293,31 @@ def test_ivon_divergence_step_pinned(tmp_path):
     with open(os.path.join(cfg.out_dir, "metadata.json"), encoding="utf-8") as fh:
         failures = json.load(fh)["failures"]
     assert [(f["method"], f["seed"], f["step"]) for f in failures] == [("ivon", 0, 5)]
+
+    # through the CLI, AdamW's parameters and IVON's logits overflow too;
+    # each failed run is one ERROR line and one metadata.json entry
+    logits = "softmax input contains non-finite values"
+    cases = [
+        ("\n[adamw]\nlr = 1e307\n",
+         [("adamw", 0, 4, "non-finite parameters after AdamW step"),
+          ("adamw", 2, 2, "non-finite parameters after AdamW step")]),
+        ("\n[ivon]\nlr = 1e305\ngrad_clip = 0\n",
+         [("ivon", 0, 2, "non-finite posterior state at t=3"),
+          ("ivon", 1, 2, logits), ("ivon", 2, 2, logits)]),
+    ]
+    for i, (extra, expected) in enumerate(cases):
+        ini = _write_ini(tmp_path, SMALL_INI.replace("seeds = 0,1", "seeds = 0,1,2") + extra)
+        out = str(tmp_path / f"cli{i}")
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run_cli(["run", "--config", ini, "--out", out]) == 4
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"{m} seed {s} diverged at step {t}: {d}" for m, s, t, d in expected] \
+            + [f"{len(expected)} run(s) failed; see metadata.json"]
+        with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:
+            failures = json.load(fh)["failures"]
+        assert [(f["method"], f["seed"], f["step"], f["detail"]) for f in failures] == expected
 
 
 def test_lora_variant_trains():
