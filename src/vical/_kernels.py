@@ -23,7 +23,9 @@ reallocated only when n changes: three length-n float64 work vectors
 returns a scratch vector and keeps no value in a work vector from call
 to call, so its only allocation is the array it returns, if any. The
 scratch set makes these kernels not reentrant: one caller at a time per
-process. Separate processes each have their own set.
+process. Separate processes each have their own set, so the producer
+process that ``rng.normal_feed`` forks runs ``normal_fill`` alongside its
+parent's kernels.
 """
 
 from __future__ import annotations

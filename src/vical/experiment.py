@@ -8,6 +8,11 @@ feeds MC sample k. AdamW and IVON runs for the same seed therefore
 share initialization and batch order exactly, which is what makes the
 per-seed comparison paired.
 
+When more than one CPU is usable, an IVON run takes its training draws
+from ``rng.normal_feed``: a forked producer process computes them while
+the run computes gradients and updates, and is reaped when training ends
+or fails. On one CPU the same draws are made in process.
+
 Sweeps reuse the trained posterior and evaluate_one's MC path, so a
 sweep row at (K=8, T=1) is the experiment's MC-8 row by construction.
 This module writes no files; ``report`` writes what it returns.
@@ -15,7 +20,9 @@ This module writes no files; ``report`` writes what it returns.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -33,7 +40,7 @@ SWEEP_KEYS = ("acc", "ece", "c_at_5", "auc")  # the sweep CSV's metric columns
 
 class TrainingDiverged(Exception):
     def __init__(self, method: str, seed: int, step: int, detail: str):
-        super().__init__(f"{method} seed {seed} diverged at step {step}: {detail}")
+        super().__init__(f"{method} seed {seed} diverged after {step} completed steps: {detail}")
         self.method = method
         self.seed = seed
         self.step = step
@@ -183,27 +190,33 @@ def train_one(
     adamw_state = optim.adamw_init(theta.shape[0]) if optimizer == "adamw" else None
     post = optim.init_posterior(theta, cfg.ivon) if optimizer == "ivon" else None
     min_hd = np.inf
-    try:
-        for _ in range(cfg.epochs):
-            order = _epoch_order(shuffle_rng, n)
-            epoch_loss = 0.0
-            for s in range(steps_per_epoch):
-                rows = order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
-                batch = model.Batch(train.features[rows], train.labels[rows])
-                if optimizer == "adamw":
-                    lr_t = optim.cosine_lr(art.steps, total_steps, cfg.adamw.lr)
-                    loss, grad = objective(theta, batch)
-                    optim.adamw_step(adamw_state, theta, grad, cfg.adamw, lr_t)
-                else:
-                    lr_t = optim.cosine_lr(art.steps, total_steps, cfg.ivon.lr)
-                    loss, hd = optim.ivon_train_step(post, cfg.ivon, objective, batch,
-                                                     noise_rng, lr_t)
-                    min_hd = min(min_hd, hd)
-                epoch_loss += loss
-                art.steps += 1
-            art.epoch_losses.append(epoch_loss / steps_per_epoch)
-    except FloatingPointError as exc:
-        raise TrainingDiverged(optimizer, seed, art.steps, str(exc)) from exc
+    p = theta.shape[0]
+    if optimizer == "ivon" and len(os.sched_getaffinity(0)) > 1:
+        noise = vrng.normal_feed(noise_rng, p, total_steps * cfg.ivon.train_samples)
+    else:  # the same draws, in process
+        noise = contextlib.nullcontext(lambda: vrng.sample_standard_normal(noise_rng, p))
+    with noise as draw:
+        try:
+            for _ in range(cfg.epochs):
+                order = _epoch_order(shuffle_rng, n)
+                epoch_loss = 0.0
+                for s in range(steps_per_epoch):
+                    rows = order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
+                    batch = model.Batch(train.features[rows], train.labels[rows])
+                    if optimizer == "adamw":
+                        lr_t = optim.cosine_lr(art.steps, total_steps, cfg.adamw.lr)
+                        loss, grad = objective(theta, batch)
+                        optim.adamw_step(adamw_state, theta, grad, cfg.adamw, lr_t)
+                    else:
+                        lr_t = optim.cosine_lr(art.steps, total_steps, cfg.ivon.lr)
+                        loss, hd = optim.ivon_train_step(post, cfg.ivon, objective, batch,
+                                                         draw, lr_t)
+                        min_hd = min(min_hd, hd)
+                    epoch_loss += loss
+                    art.steps += 1
+                art.epoch_losses.append(epoch_loss / steps_per_epoch)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(optimizer, seed, art.steps, str(exc)) from exc
 
     if optimizer == "adamw":
         art.params = theta

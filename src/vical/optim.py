@@ -26,7 +26,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import _kernels, rng as vrng
+from . import _kernels
 
 log = logging.getLogger(__name__)
 
@@ -121,10 +121,11 @@ def init_posterior(m0: np.ndarray, config: IvonConfig) -> PosteriorState:
 def ivon_sample(
     state: PosteriorState,
     config: IvonConfig,
-    rng: vrng.RngState,
+    eps: np.ndarray,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Draw theta = m + eps*sigma_T with sigma_T = 1/sqrt(T*lam*(h+delta)).
+    """theta = m + eps*sigma_T with sigma_T = 1/sqrt(T*lam*(h+delta)), from a
+    standard-normal draw ``eps``, which is overwritten with theta and returned.
 
     The temperature rescales the posterior concentration (lam_infer =
     T*lam); it never touches logits. Training uses T=1.
@@ -132,7 +133,7 @@ def ivon_sample(
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
     # built in place: eps becomes theta, var becomes sigma
-    theta = vrng.sample_standard_normal(rng, state.mean.shape[0])
+    theta = eps
     sigma = state.hess + config.weight_decay
     sigma *= temperature * config.ess
     np.sqrt(sigma, out=sigma)
@@ -181,9 +182,10 @@ def ivon_step(
 
 
 def ivon_train_step(state: PosteriorState, config: IvonConfig, objective: Callable,
-                    batch, rng: vrng.RngState, lr_t: float) -> Tuple[float, float]:
-    """One IVON training step, in place: train_samples posterior draws, the
-    (loss, gradient) of ``objective(theta, batch)`` at each, clipped to
+                    batch, draw: Callable[[], np.ndarray], lr_t: float) -> Tuple[float, float]:
+    """One IVON training step, in place: train_samples posterior draws, each
+    from the new standard-normal vector ``draw()`` returns, the (loss,
+    gradient) of ``objective(theta, batch)`` at each, clipped to
     +-grad_clip when that is > 0, then one ivon_step on the draws' mean
     (theta - m)*grad and grad. The objective must return a new gradient on
     every call, as it is written in place. Returns the mean loss over the
@@ -192,7 +194,7 @@ def ivon_train_step(state: PosteriorState, config: IvonConfig, objective: Callab
     clip = config.grad_clip
     losses = []
     for k in range(config.train_samples):
-        theta = ivon_sample(state, config, rng, 1.0)
+        theta = ivon_sample(state, config, draw(), 1.0)
         loss, grad = objective(theta, batch)
         losses.append(loss)
         if clip > 0.0:

@@ -47,7 +47,8 @@ def predict_mc(
         raise ValueError("mc sample count must be >= 1")
     total = None
     for i in range(k):
-        theta = optim.ivon_sample(state, config, vrng.child(rng, i), temperature)
+        eps = vrng.sample_standard_normal(vrng.child(rng, i), state.mean.shape[0])
+        theta = optim.ivon_sample(state, config, eps, temperature)
         logits = template(theta, features)
         total = logits if total is None else total + logits
     return numeric.softmax(total / k, axis=1)

@@ -119,7 +119,8 @@ def test_criterion_2_hessian_estimator(verdict):
     acc = np.zeros(n_coords)
     acc2 = np.zeros(n_coords)
     for k in range(draws):
-        theta = optim.ivon_sample(state, cfg, vrng.child(sample_root, k))
+        eps = vrng.sample_standard_normal(vrng.child(sample_root, k), n_coords)
+        theta = optim.ivon_sample(state, cfg, eps)
         # the estimator the optimizer applies: grad * (theta - m) * lam * (h + delta)
         hhat = (a * theta) * (theta - m) * lam * (state.hess + cfg.weight_decay)
         acc += hhat

@@ -313,7 +313,8 @@ def test_ivon_divergence_step_pinned(tmp_path, caplog):
             warnings.simplefilter("error")
             assert cli.run_cli(["run", "--config", ini, "--out", out]) == 4
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert errors == [f"{m} seed {s} diverged at step {t}: {d}" for m, s, t, d in expected] \
+        assert errors == [f"{m} seed {s} diverged after {t} completed steps: {d}"
+                          for m, s, t, d in expected] \
             + [f"{len(expected)} run(s) failed; see metadata.json"]
         with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:
             failures = json.load(fh)["failures"]
@@ -342,6 +343,81 @@ def test_ivon_train_samples_pinned():
     h.update(art.posterior.mean.tobytes())
     h.update(art.posterior.hess.tobytes())
     assert h.hexdigest() == IVON_TRAIN_SAMPLES_PIN
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _feed_used(monkeypatch):
+    """Make train_one see two usable CPUs; returns the list of its forks."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("train_samples", [1, 2])
+def test_train_one_feed_matches_one_cpu(monkeypatch, train_samples):
+    cfg = _small_cfg(epochs=2)
+    cfg.ivon.train_samples = train_samples
+    forks = _feed_used(monkeypatch)
+    fed = experiment.train_one(cfg, 0, "ivon")
+    assert forks == [1]
+    _no_child_left()
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    alone = experiment.train_one(cfg, 0, "ivon")
+    assert (fed.epoch_losses, fed.min_hdelta, fed.steps) == \
+        (alone.epoch_losses, alone.min_hdelta, alone.steps)
+    for name in ("mean", "hess", "g_mom"):
+        assert getattr(fed.posterior, name).tobytes() == getattr(alone.posterior, name).tobytes()
+
+
+def test_training_leaves_no_producer_behind(monkeypatch):
+    forks = _feed_used(monkeypatch)
+    experiment.train_one(_small_cfg(), 0, "ivon")
+    _no_child_left()
+
+    cfg = _small_cfg()
+    cfg.ivon.lr = 1e60
+    cfg.ivon.weight_decay = 1e-3
+    with pytest.raises(TrainingDiverged):
+        experiment.train_one(cfg, 0, "ivon")
+    _no_child_left()
+
+    calls, loss = [], model.loss_and_grad
+
+    def fails_on_fourth(params, batch):
+        calls.append(1)
+        if len(calls) == 4:
+            raise KeyError("objective failed")
+        return loss(params, batch)
+
+    monkeypatch.setattr(model, "loss_and_grad", fails_on_fourth)
+    with pytest.raises(KeyError, match="objective failed"):
+        experiment.train_one(_small_cfg(), 0, "ivon")
+    _no_child_left()
+    assert forks == [1, 1, 1]
+
+
+def test_cli_run_leaves_no_process(tmp_path):
+    # the process group of a `vical run` is empty once the run has exited
+    with subprocess.Popen(
+        [sys.executable, "-m", "vical", "run", "--config", _write_ini(tmp_path),
+         "--out", str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # ------------------------------------------------------------- evaluation --
@@ -830,7 +906,7 @@ def test_cli_evaluation_failure_exit_code(tmp_path, caplog):
 
     out = str(tmp_path / "run")
     assert cli.run_cli(["run", "--config", ini, "--out", out, "--seed", "0"]) == 4
-    assert errors() == ["ivon seed 0 diverged at step 12: "
+    assert errors() == ["ivon seed 0 diverged after 12 completed steps: "
                         "evaluation: non-finite posterior sample",
                         "1 run(s) failed; see metadata.json"]
     with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:

@@ -12,6 +12,12 @@ def _vec(key, n, scale=1.0):
     return rng.sample_standard_normal(rng.seed_rng(key), n) * scale
 
 
+def _sample(state, cfg, stream, temperature=1.0):
+    """ivon_sample at the next standard-normal draw of ``stream``."""
+    eps = rng.sample_standard_normal(stream, state.mean.shape[0])
+    return optim.ivon_sample(state, cfg, eps, temperature)
+
+
 # ---------------------------------------------------------------- AdamW ----
 
 def test_adamw_first_step_oracle():
@@ -99,7 +105,7 @@ def test_initial_sample_spread():
     # lam=1e7, h0=1e-3 gives sigma = 1/sqrt(1e4) = 1e-2
     cfg = optim.IvonConfig(lr=0.1, ess=1e7, hess_init=1e-3)
     state = optim.init_posterior(np.zeros(100_000), cfg)
-    theta = optim.ivon_sample(state, cfg, rng.seed_rng(7))
+    theta = _sample(state, cfg, rng.seed_rng(7))
     assert abs(theta.std() / 1e-2 - 1.0) < 0.02
 
 
@@ -107,7 +113,7 @@ def test_sample_variance_matches_posterior():
     cfg = optim.IvonConfig(lr=0.1, ess=2e5, hess_init=5e-3)
     state = optim.init_posterior(np.ones(2000), cfg)
     draws = np.stack([
-        optim.ivon_sample(state, cfg, rng.child(rng.seed_rng(8), i)) - state.mean
+        _sample(state, cfg, rng.child(rng.seed_rng(8), i)) - state.mean
         for i in range(200)
     ])
     sigma = 1.0 / math.sqrt(2e5 * 5e-3)
@@ -117,15 +123,15 @@ def test_sample_variance_matches_posterior():
 def test_sample_temperature_and_determinism():
     cfg = optim.IvonConfig(lr=0.1, ess=1e6, hess_init=1e-3)
     state = optim.init_posterior(_vec(9, 50), cfg)
-    a = optim.ivon_sample(state, cfg, rng.seed_rng(10))
-    b = optim.ivon_sample(state, cfg, rng.seed_rng(10))
+    a = _sample(state, cfg, rng.seed_rng(10))
+    b = _sample(state, cfg, rng.seed_rng(10))
     assert np.array_equal(a, b)
     # large T concentrates the sample on the mean
-    hot = optim.ivon_sample(state, cfg, rng.seed_rng(10), temperature=1e12)
+    hot = _sample(state, cfg, rng.seed_rng(10), temperature=1e12)
     assert np.max(np.abs(hot - state.mean)) < 1e-6
     assert np.max(np.abs(a - state.mean)) > 1e-4
     with pytest.raises(ValueError):
-        optim.ivon_sample(state, cfg, rng.seed_rng(10), temperature=0.0)
+        _sample(state, cfg, rng.seed_rng(10), temperature=0.0)
 
 
 def test_ivon_step_hessian_hand_value():
@@ -186,7 +192,7 @@ def test_ivon_step_matches_hand_recursion():
     state = optim.init_posterior(_vec(12, 9), cfg)
     mean, hess, gmom, t = state.mean.copy(), state.hess.copy(), state.g_mom.copy(), 0
     for k in range(3):
-        theta = optim.ivon_sample(state, cfg, rng.child(rng.seed_rng(13), k))
+        theta = _sample(state, cfg, rng.child(rng.seed_rng(13), k))
         grad = _vec(20 + k, 9, scale=0.3)
         mean, hess, gmom, t = _hand_ivon(mean, hess, gmom, t, theta, grad, cfg, 0.02)
         optim.ivon_step(state, (theta - state.mean) * grad, grad, cfg, 0.02)
@@ -202,7 +208,7 @@ def test_ivon_train_step_averages_train_samples():
     cfg = optim.IvonConfig(lr=0.02, ess=3e4, hess_init=2e-3, train_samples=2)
     state = optim.init_posterior(_vec(14, 5), cfg)
     draws = rng.child(rng.seed_rng(15), 0)
-    thetas = np.stack([optim.ivon_sample(state, cfg, draws) for _ in range(2)])
+    thetas = np.stack([_sample(state, cfg, draws) for _ in range(2)])
     grads = a * thetas
     mean0, hess0 = state.mean.copy(), state.hess.copy()
     hd = hess0 + cfg.weight_decay
@@ -218,8 +224,9 @@ def test_ivon_train_step_averages_train_samples():
     def objective(theta, batch):
         return 0.5 * float(np.sum(a * theta * theta)), a * theta
 
+    noise = rng.child(rng.seed_rng(15), 0)
     loss, min_hd = optim.ivon_train_step(state, cfg, objective, None,
-                                         rng.child(rng.seed_rng(15), 0), 0.02)
+                                         lambda: rng.sample_standard_normal(noise, 5), 0.02)
     assert loss == pytest.approx(np.mean(0.5 * np.sum(a * thetas * thetas, axis=1)))
     assert np.max(np.abs(state.hess - hnew)) < 1e-12
     assert np.max(np.abs(state.mean - mref)) < 1e-12
@@ -237,7 +244,7 @@ def test_hessian_estimator_unbiased_on_quadratic():
     root = rng.seed_rng(17)
     acc = np.zeros((n, 6))
     for i in range(n):
-        theta = optim.ivon_sample(state, cfg, rng.child(root, i))
+        theta = _sample(state, cfg, rng.child(root, i))
         grad = a * theta
         acc[i] = grad * (theta - state.mean) * lam_hd
     err = np.abs(acc.mean(axis=0) - a)
@@ -283,7 +290,7 @@ def test_ivon_limit_of_large_ess_is_deterministic():
         state = optim.init_posterior(m0, cfg)
         noise = rng.seed_rng(noise_seed)
         for t, batch in enumerate(batches):
-            theta = optim.ivon_sample(state, cfg, rng.child(noise, t))
+            theta = _sample(state, cfg, rng.child(noise, t))
             _, grad = model.loss_and_grad(
                 model.MlpParams(sizes=sizes, theta=theta), batch
             )

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -150,3 +151,51 @@ def test_normal_fill_alternating_lengths():
         single[n] = _kernels.normal_fill(k, c, n)
     for n in (P, 256, P, 3):
         assert np.array_equal(_kernels.normal_fill(k, c, n), single[n])
+
+
+# ------------------------------------------------------------ normal feed --
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [P, 3])
+def test_normal_feed_matches_in_process_draws(n):
+    # five draws starting 3n words below 2^64: the counter wraps in the second
+    key, start, count = rng.seed_rng(21).key, (1 << 64) - 3 * n, 5
+    alone = rng.RngState(key, start)
+    fed = rng.RngState(key, start)
+    with rng.normal_feed(fed, n, count) as draw:
+        for _ in range(count):
+            assert np.array_equal(draw(), rng.sample_standard_normal(alone, n))
+        with pytest.raises(RuntimeError, match="exhausted"):
+            draw()
+    assert fed.counter == alone.counter == (start + 2 * n * count) % (1 << 64)
+    _no_child_left()
+
+
+def test_normal_feed_closed_before_drained():
+    state = rng.seed_rng(22)
+    with rng.normal_feed(state, P, 50) as draw:
+        first = draw()
+    assert np.array_equal(first, rng.sample_standard_normal(rng.seed_rng(22), P))
+    assert state.counter == 2 * P  # one draw taken
+    _no_child_left()
+
+
+def test_normal_feed_producer_death_is_an_error(monkeypatch, capfd):
+    fill = _kernels.normal_fill
+
+    def fails_on_third(key, counter, n):
+        if int(counter) >= 4 * n:
+            raise MemoryError("producer out of memory")
+        return fill(key, counter, n)
+
+    monkeypatch.setattr(_kernels, "normal_fill", fails_on_third)
+    with rng.normal_feed(rng.seed_rng(23), 8, 5) as draw:
+        draw(), draw()
+        with pytest.raises(RuntimeError, match="exited before draw 3 of 5"):
+            draw()
+    _no_child_left()
+    assert "producer out of memory" in capfd.readouterr().err
