@@ -16,7 +16,6 @@ from typing import List, Optional
 from . import experiment, report
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .data import DataError, generate_dataset, save_csv
-from .experiment import TrainingDiverged
 
 log = logging.getLogger("vical")
 
@@ -191,7 +190,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except DataError as exc:
         log.error("data error: %s", exc)
         return 3
-    except (TrainingDiverged, FloatingPointError) as exc:  # the latter from sweep's evaluation
+    except experiment.TrainingDiverged as exc:
         log.error("run failure: %s", exc)
         return 4
 

@@ -13,14 +13,18 @@ from ``rng.normal_feed``: a forked producer process computes them while
 the run computes gradients and updates, and is reaped when training ends
 or fails. On one CPU the same draws are made in process.
 
-Sweeps reuse the trained posterior and evaluate_one's MC path, so a
-sweep row at (K=8, T=1) is the experiment's MC-8 row by construction.
+Each (seed, method) run is one ``run_job`` (train unless handed the
+artifact, score, turn a divergence into a failure record), mapped in
+(seed, method) order by ``_run_jobs``: ``run_experiment`` logs each
+failure as one ERROR line, ``sweep`` raises the first. Sweeps score through
+evaluate_one's MC path, so a sweep row at (K=8, T=1) is the MC-8 row.
 This module writes no files; ``report`` writes what it returns.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import os
 from dataclasses import dataclass, field
@@ -41,10 +45,7 @@ SWEEP_KEYS = ("acc", "ece", "c_at_5", "auc")  # the sweep CSV's metric columns
 class TrainingDiverged(Exception):
     def __init__(self, method: str, seed: int, step: int, detail: str):
         super().__init__(f"{method} seed {seed} diverged after {step} completed steps: {detail}")
-        self.method = method
-        self.seed = seed
-        self.step = step
-        self.detail = detail
+        self.method, self.seed, self.step, self.detail = method, seed, step, detail
 
 
 @dataclass
@@ -78,17 +79,22 @@ class ReportRow:
     sd: Dict[str, float]
 
 
+Data = Tuple[model.Batch, model.Batch]  # (train, dev)
+Grid = List[Tuple[int, float]]  # (K, T) per MC row
+Artifacts = Dict[Tuple[str, int], TrainedArtifact]  # by (method, seed)
+
+
 @dataclass
 class ExperimentResult:
     rows: List[ReportRow]
     evals: List[EvalResult]
-    artifacts: Dict[Tuple[str, int], TrainedArtifact]
+    artifacts: Artifacts
     failures: List[dict]
     train: model.Batch
     dev: model.Batch
 
 
-def load_data(cfg: ExperimentConfig) -> Tuple[model.Batch, model.Batch]:
+def load_data(cfg: ExperimentConfig) -> Data:
     if cfg.train_csv is None:
         train, dev = vdata.generate_dataset(cfg.dataset)
     else:
@@ -164,12 +170,8 @@ def _epoch_order(shuffle_rng: vrng.RngState, n: int) -> np.ndarray:
 # numpy's float warnings are silenced where a FloatingPointError becomes a
 # reported failure; one errstate each, as numpy < 2 cannot nest one instance
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_one(
-    cfg: ExperimentConfig,
-    seed: int,
-    optimizer: str,
-    data: Optional[Tuple[model.Batch, model.Batch]] = None,
-) -> TrainedArtifact:
+def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
+              data: Optional[Data] = None) -> TrainedArtifact:
     """Train one model with one optimizer under one seed."""
     if optimizer not in ("adamw", "ivon"):
         raise ConfigError(f"unknown optimizer {optimizer!r}")
@@ -253,11 +255,8 @@ def mc_tag(k: int, temperature: float) -> str:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def evaluate_one(
-    artifact: TrainedArtifact,
-    dev: model.Batch,
-    cfg: ExperimentConfig,
-) -> List[EvalResult]:
+def evaluate_one(artifact: TrainedArtifact, dev: model.Batch,
+                 cfg: ExperimentConfig) -> List[EvalResult]:
     """All report rows one trained artifact contributes."""
     if len(dev) == 0:
         raise ValueError("empty dev set")
@@ -274,7 +273,7 @@ def evaluate_one(
 
 
 def _mc_evals(artifact: TrainedArtifact, logits: predict.LogitFn, dev: model.Batch,
-              cfg: ExperimentConfig, grid: List[Tuple[int, float]]) -> List[EvalResult]:
+              cfg: ExperimentConfig, grid: Grid) -> List[EvalResult]:
     """One MC row per (K, T) in ``grid``, every draw from the seed's evaluation root."""
     root = eval_rng(artifact.seed)
     out = []
@@ -288,7 +287,7 @@ def _mc_evals(artifact: TrainedArtifact, logits: predict.LogitFn, dev: model.Bat
 
 def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
     by_method: Dict[str, List[EvalResult]] = {}
-    for ev in sorted(evals, key=lambda e: e.seed):
+    for ev in evals:  # in (seed, method) order, as _run_jobs gathers them
         by_method.setdefault(ev.method, []).append(ev)
     rows = []
     for method, group in by_method.items():
@@ -301,42 +300,50 @@ def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def run_job(cfg: ExperimentConfig, seed: int, method: str, data: Data,
+            art: Optional[TrainedArtifact] = None, grid: Optional[Grid] = None):
+    """Train (unless handed ``art``) and score one run; ``grid`` scores by ``_mc_evals``.
+    Returns (art, evals, None) or (art if trained, [], failure); every argument pickles."""
+    try:
+        art = art or train_one(cfg, seed, method, data=data)
+        try:
+            evals = (evaluate_one(art, data[1], cfg) if grid is None else
+                     _mc_evals(art, template(cfg, art.sizes, seed), data[1], cfg, grid))
+        except FloatingPointError as exc:  # e.g. a posterior draw overflows
+            raise TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}") from exc
+    except TrainingDiverged as exc:
+        return art, [], {"method": method, "seed": seed, "step": exc.step, "detail": exc.detail}
+    return art, evals, None
+
+
+def _run_jobs(cfg: ExperimentConfig, data: Data, optimizers: Tuple[str, ...],
+              artifacts: Optional[Artifacts] = None, grid: Optional[Grid] = None):
+    """``run_job`` over every (seed, optimizer) in that order: the artifacts,
+    every EvalResult, and the failure records."""
+    jobs = [(seed, method) for seed in sorted(cfg.seeds) for method in optimizers]
+    results = [run_job(cfg, s, m, data, (artifacts or {}).get((m, s)), grid) for s, m in jobs]
+    return ({(m, s): art for (s, m), (art, _, _) in zip(jobs, results) if art is not None},
+            [ev for _, evs, _ in results for ev in evs], [f for _, _, f in results if f])
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train and evaluate every (seed, method) pair and aggregate."""
     validate_config(cfg)
     train, dev = load_data(cfg)
-    evals: List[EvalResult] = []
-    artifacts: Dict[Tuple[str, int], TrainedArtifact] = {}
-    failures: List[dict] = []
-    for seed in sorted(cfg.seeds):
-        for method in methods(cfg):
-            try:
-                art = train_one(cfg, seed, method, data=(train, dev))
-                artifacts[(method, seed)] = art
-                try:
-                    evals.extend(evaluate_one(art, dev, cfg))
-                except FloatingPointError as exc:  # e.g. a posterior draw overflows
-                    raise TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}") from exc
-            except TrainingDiverged as exc:
-                log.error("%s", exc)
-                failures.append({
-                    "method": exc.method, "seed": exc.seed,
-                    "step": exc.step, "detail": exc.detail,
-                })
+    artifacts, evals, failures = _run_jobs(cfg, (train, dev), methods(cfg))
+    for failure in failures:
+        log.error("%s", TrainingDiverged(**failure))
     return ExperimentResult(_aggregate(evals), evals, artifacts, failures, train, dev)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def sweep(
-    cfg: ExperimentConfig,
-    axis: str,
-    artifacts: Optional[Dict[Tuple[str, int], TrainedArtifact]] = None,
-    data: Optional[Tuple[model.Batch, model.Batch]] = None,
-) -> List[dict]:
+def sweep(cfg: ExperimentConfig, axis: str, artifacts: Optional[Artifacts] = None,
+          data: Optional[Data] = None) -> List[dict]:
     """Evaluate the axis's ``[sweep]`` grid on fixed trained posteriors.
 
     No retraining happens across values; each seed's posterior is
-    trained once (or taken from a previous run's artifacts).
+    trained once (or taken from a previous run's artifacts). A failed
+    run raises the first failure in seed order, once every seed has run.
     """
     if axis not in ("mc_samples", "temperature"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -344,18 +351,12 @@ def sweep(
     if not getattr(cfg.sweep, key):
         raise ConfigError(f"sweep.{key} must be non-empty")
     validate_config(cfg)
-    if axis == "mc_samples":
-        grid = [(int(v), 1.0) for v in cfg.sweep.mc_grid]
-    else:
-        grid = [(cfg.eval.mc_samples[0], float(v)) for v in cfg.sweep.temperature_grid]
-    train, dev = data if data is not None else load_data(cfg)
-    rows = []
-    for seed in sorted(cfg.seeds):
-        art = artifacts.get(("ivon", seed)) if artifacts else None
-        if art is None:
-            art = train_one(cfg, seed, "ivon", data=(train, dev))
-        evals = _mc_evals(art, template(cfg, art.sizes, seed), dev, cfg, grid)
-        for (k, t), ev in zip(grid, evals):
-            rows.append({"axis_value": k if axis == "mc_samples" else t, "seed": seed,
-                         **{m: ev.values[m] for m in SWEEP_KEYS}})
-    return rows
+    grid = ([(int(v), 1.0) for v in cfg.sweep.mc_grid] if axis == "mc_samples" else
+            [(cfg.eval.mc_samples[0], float(v)) for v in cfg.sweep.temperature_grid])
+    data = data if data is not None else load_data(cfg)
+    _, evals, failures = _run_jobs(cfg, data, ("ivon",), artifacts, grid)
+    if failures:
+        raise TrainingDiverged(**failures[0])
+    return [{"axis_value": k if axis == "mc_samples" else t, "seed": ev.seed,
+             **{m: ev.values[m] for m in SWEEP_KEYS}}
+            for (k, t), ev in zip(itertools.cycle(grid), evals)]

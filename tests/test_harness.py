@@ -522,6 +522,20 @@ def test_artifacts_pickle(small_run):
                 == _eval_digest(experiment.evaluate_one(art, result.dev, run_cfg)))
 
 
+def test_run_job_arguments_pickle(small_run):
+    # a job handed over by pickle, as a process pool would, gives the same run
+    cfg, result, _ = small_run
+    data_ = (result.train, result.dev)
+    adamw = (cfg, 1, "adamw", data_)
+    evals = experiment.run_job(*pickle.loads(pickle.dumps(adamw)))[1]
+    assert _eval_digest(evals) == _eval_digest(
+        [ev for ev in result.evals if (ev.method, ev.seed) == ("AdamW", 1)])
+    sweep_job = (cfg, 0, "ivon", data_, result.artifacts[("ivon", 0)], [(2, 10.0)])
+    _, evals, failure = experiment.run_job(*pickle.loads(pickle.dumps(sweep_job)))
+    assert failure is None and [ev.method for ev in evals] == ["IVON MC-2 T=10"]
+    assert _eval_digest(evals) == _eval_digest(experiment.run_job(*sweep_job)[1])
+
+
 def test_sweep_matches_experiment_rows(small_run):
     _, result, out = small_run
     cfg = _small_cfg()
@@ -924,7 +938,35 @@ def test_cli_evaluation_failure_exit_code(tmp_path, caplog):
 
     assert cli.run_cli(["sweep", "--config", ini, "--axis", "temperature", "--seed", "0",
                         "--out", str(tmp_path / "sweep")]) == 4
-    assert errors() == ["run failure: non-finite posterior sample"]
+    assert errors() == ["run failure: ivon seed 0 diverged after 12 completed steps: "
+                        "evaluation: non-finite posterior sample"]
+
+
+def test_cli_sweep_training_divergence_exit_code(tmp_path, caplog):
+    # the pinned IVON divergence (step 5) fails a sweep like a run: exit 4,
+    # one ERROR line naming the run, and no sweep CSV
+    ini = _write_ini(tmp_path, SMALL_INI + "\n[ivon]\nlr = 1e60\nweight_decay = 1e-3\n")
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run_cli(["sweep", "--config", ini, "--axis", "mc_samples",
+                            "--out", str(out)]) == 4
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        "run failure: ivon seed 0 diverged after 5 completed steps: "
+        "non-finite posterior state at t=6"]
+    assert not (out / "sweep_mc_samples.csv").exists()
+
+
+def test_cli_run_report_ignores_seed_order(tmp_path):
+    # runs are gathered in (seed, method) order whatever order the config
+    # lists; with three seeds a different float summation order shows
+    reports = []
+    for name, seeds in (("ascending", "0, 1, 2"), ("shuffled", "2, 0, 1")):
+        ini = _write_ini(tmp_path, SMALL_INI.replace("seeds = 0,1", f"seeds = {seeds}"))
+        out = tmp_path / name
+        assert cli.run_cli(["run", "--config", ini, "--out", str(out)]) == 0
+        reports.append([(out / f).read_bytes() for f in ("report.csv", "report.txt")])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("dev_features, dev_labels", [
