@@ -61,9 +61,10 @@ def _work(n: int) -> tuple:
     return _scratch
 
 
-def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+def mix64(x: np.ndarray, tmp: np.ndarray) -> None:
     """splitmix64 finalizer over a uint64 array, in place (wrapping
-    arithmetic); tmp is a uint64 array of the same shape."""
+    arithmetic); tmp is a uint64 array of the same shape. ``rng`` derives
+    its stream keys with it too."""
     with np.errstate(over="ignore"):
         for shift, mult in ((_U30, MIX_1), (_U27, MIX_2)):
             np.right_shift(x, shift, out=tmp)
@@ -76,7 +77,7 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
 def uniform_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         w = key + (counter + np.arange(n, dtype=np.uint64)) * GOLDEN
-    _mix64(w, np.empty_like(w))
+    mix64(w, np.empty_like(w))
     return (w >> _U11).astype(np.float64) * _INV53
 
 
@@ -88,8 +89,8 @@ def normal_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         np.add(steps, key + counter * GOLDEN, out=even)
         np.add(even, GOLDEN, out=odd)
-    _mix64(even, tmp)
-    _mix64(odd, tmp)
+    mix64(even, tmp)
+    mix64(odd, tmp)
     even >>= _U11
     even += _ONE
     np.multiply(even, _INV53, out=u1)  # (0,1], log-safe

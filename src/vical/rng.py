@@ -20,10 +20,10 @@ Child streams hash the parent key with a separate odd constant and a
 does not advance the parent.
 
 Because a draw depends only on (key, counter), a stream's normals can be
-computed ahead of their use. ``normal_feed`` forks one producer process
-that computes a run of ``sample_standard_normal`` draws into a small
-shared ring while the caller works on the previous ones; the caller gets
-the same arrays, in the same order, and the same final counter.
+computed ahead of their use. ``normal_feed`` hands out a run of
+``sample_standard_normal`` draws, computed into a small shared ring by a
+forked producer where a second CPU is usable, else in process; the caller
+gets the same arrays, in the same order, and the same final counter.
 """
 
 from __future__ import annotations
@@ -40,21 +40,14 @@ import numpy as np
 from . import _kernels
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
 _SPLIT = 0xC2B2AE3D27D4EB4F
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer on plain ints (key derivation path)."""
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * _MIX_1) & _MASK
-    x ^= x >> 27
-    x = (x * _MIX_2) & _MASK
-    x ^= x >> 31
-    return x
+def _key(x: int) -> int:
+    """A stream key: the kernels' splitmix64 finalizer of x mod 2^64."""
+    w = np.array([x & _MASK], dtype=np.uint64)
+    _kernels.mix64(w, np.empty_like(w))
+    return int(w[0])
 
 
 @dataclass
@@ -67,15 +60,14 @@ class RngState:
 
 def seed_rng(seed: int) -> RngState:
     """Create the root stream for a seed. Same seed, same stream, always."""
-    return RngState(key=_mix64(int(seed) + _GOLDEN))  # _mix64 reduces mod 2^64
+    return RngState(key=_key(int(seed) + int(_kernels.GOLDEN)))
 
 
 def child(state: RngState, index: int) -> RngState:
     """Derive an independent child stream; the parent is not advanced."""
     if index < 0:
         raise ValueError("child index must be >= 0")
-    key = _mix64(state.key + (index + 1) * _SPLIT)
-    return RngState(key=key)
+    return RngState(key=_key(state.key + (index + 1) * _SPLIT))
 
 
 def sample_uniform(state: RngState, n: int) -> np.ndarray:
@@ -126,51 +118,61 @@ def _produce(key: int, counter: int, n: int, count: int, ring: np.ndarray,
 
 @contextlib.contextmanager
 def normal_feed(state: RngState, n: int, count: int) -> Iterator[Callable[[], np.ndarray]]:
-    """Up to ``count`` draws of ``sample_standard_normal(state, n)``,
-    computed ahead by a forked producer process.
+    """Up to ``count`` draws of ``sample_standard_normal(state, n)``.
 
     Yields ``draw()``, which returns the next draw as a new array and
-    advances ``state.counter`` by 2n, as the in-process call would. A
-    producer that dies early raises RuntimeError in ``draw()``. On exit,
-    even through an exception, the producer is told to stop and is reaped.
+    advances ``state.counter`` by 2n, as the in-process call would. The
+    draws are computed ahead by a forked producer process when ``count``
+    is positive, the platform has ``os.fork`` and ``os.sched_getaffinity``,
+    and more than one CPU is usable; otherwise ``draw()`` makes each one in
+    process. A producer that dies early raises RuntimeError in ``draw()``.
+    On exit, even through an exception, the producer is told to stop and
+    is reaped.
     """
     if n < 1:
         raise ValueError("requested an empty sample (n must be >= 1)")
-    buf = mmap.mmap(-1, _FEED_SLOTS * n * 8)  # anonymous, shared across fork
-    ring = np.frombuffer(buf, dtype=np.float64).reshape(_FEED_SLOTS, n)
-    ready_r, ready_w = os.pipe()  # one byte per filled slot
-    free_r, free_w = os.pipe()    # one byte per slot the consumer is done with
-    try:
-        pid = os.fork()
-    except BaseException:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        os.close(ready_r)
-        os.close(free_w)
-        _produce(state.key, state.counter, n, count, ring, ready_w, free_r)
-    os.close(ready_w)
-    os.close(free_r)
+    pid = None  # no producer: draw in process
+    if (count > 0 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        buf = mmap.mmap(-1, _FEED_SLOTS * n * 8)  # anonymous, shared across fork
+        ring = np.frombuffer(buf, dtype=np.float64).reshape(_FEED_SLOTS, n)
+        ready_r, ready_w = os.pipe()  # one byte per filled slot
+        free_r, free_w = os.pipe()    # one byte per slot the consumer is done with
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(ready_r)
+            os.close(free_w)
+            _produce(state.key, state.counter, n, count, ring, ready_w, free_r)
+        os.close(ready_w)
+        os.close(free_r)
     taken = 0
 
     def draw() -> np.ndarray:
         nonlocal taken
         if taken == count:
             raise RuntimeError(f"normal feed exhausted after {count} draws")
-        if not os.read(ready_r, 1):
-            raise RuntimeError(f"normal feed producer exited before draw {taken + 1} of {count}")
-        out = ring[taken % _FEED_SLOTS].copy()
+        if pid is None:
+            out = sample_standard_normal(state, n)
+        else:
+            if not os.read(ready_r, 1):
+                raise RuntimeError(f"normal feed producer exited before draw {taken + 1} of {count}")
+            out = ring[taken % _FEED_SLOTS].copy()
+            if taken + 1 + _FEED_SLOTS <= count:  # the producer refills this slot
+                with contextlib.suppress(BrokenPipeError):  # a dead producer: the next read says so
+                    os.write(free_w, b"f")
+            state.counter = (state.counter + 2 * n) & _MASK
         taken += 1
-        if taken + _FEED_SLOTS <= count:  # the producer refills this slot
-            with contextlib.suppress(BrokenPipeError):  # a dead producer: the next read says so
-                os.write(free_w, b"f")
-        state.counter = (state.counter + 2 * n) & _MASK
         return out
 
     try:
         yield draw
     finally:
-        os.close(ready_r)  # the producer sees EPIPE or EOF and leaves
-        os.close(free_w)
-        os.waitpid(pid, 0)
+        if pid is not None:
+            os.close(ready_r)  # the producer sees EPIPE or EOF and leaves
+            os.close(free_w)
+            os.waitpid(pid, 0)

@@ -1,14 +1,28 @@
-"""Shared test plumbing: the acceptance verdict recorder and a traced-peak probe.
+"""Shared test plumbing: the acceptance verdict recorder, a traced-peak
+probe, and a guard that fails the session if it leaves a child process.
 
 Criterion tests record exactly one PASS/FAIL line each; the lines are
 replayed in the terminal summary so they survive output capture.
 """
 
+import os
 import tracemalloc
 
 import pytest
 
 VERDICTS = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left_at_exit():
+    """Every process a test starts is reaped by the end of the session."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test session left a child process "
+                + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture

@@ -358,14 +358,16 @@ def _feed_used(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("train_samples", [1, 2])
-def test_train_one_feed_matches_one_cpu(monkeypatch, train_samples):
+@pytest.mark.parametrize("train_samples, missing", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    # no producer where the platform lacks either call: the same draws, in process
+    pytest.param(1, "sched_getaffinity", id="1-no_sched_getaffinity"),
+    pytest.param(1, "fork", id="1-no_fork"),
+])
+def test_train_one_feed_matches_one_cpu(monkeypatch, train_samples, missing):
     cfg = _small_cfg(epochs=2)
     cfg.ivon.train_samples = train_samples
-    forks = _feed_used(monkeypatch)
-    fed = experiment.train_one(cfg, 0, "ivon")
-    assert forks == [1]
-    _no_child_left()
 
     def no_fork():
         raise AssertionError("forked on one CPU")
@@ -373,6 +375,14 @@ def test_train_one_feed_matches_one_cpu(monkeypatch, train_samples):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
     alone = experiment.train_one(cfg, 0, "ivon")
+    monkeypatch.undo()
+
+    forks = _feed_used(monkeypatch)
+    if missing:
+        monkeypatch.delattr(os, missing)
+    fed = experiment.train_one(cfg, 0, "ivon")
+    assert forks == ([] if missing else [1])
+    _no_child_left()
     assert (fed.epoch_losses, fed.min_hdelta, fed.steps) == \
         (alone.epoch_losses, alone.min_hdelta, alone.steps)
     for name in ("mean", "hess", "g_mom"):
@@ -403,6 +413,7 @@ def test_training_leaves_no_producer_behind(monkeypatch):
     with pytest.raises(KeyError, match="objective failed"):
         experiment.train_one(_small_cfg(), 0, "ivon")
     _no_child_left()
+    experiment.train_one(_small_cfg(), 0, "adamw")  # draws no noise, so forks nothing
     assert forks == [1, 1, 1]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 
@@ -25,6 +26,26 @@ def test_child_streams_differ():
     a = rng.sample_standard_normal(rng.child(root, 0), 64)
     b = rng.sample_standard_normal(rng.child(root, 1), 64)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, key", [
+    (-1, 0xE4D971771B652C20),
+    (0, 0xE220A8397B1DCDAF),
+    (17, 0x808475F02EE37363),
+    ((1 << 64) - 1, 0xE4D971771B652C20),  # seeds are taken mod 2^64
+    (1 << 64, 0xE220A8397B1DCDAF),
+])
+def test_seed_keys_pinned(seed, key):
+    assert rng.seed_rng(seed).key == key
+
+
+@pytest.mark.parametrize("index, key", [
+    (0, 0xA99E77DEF43E0A48),
+    (3, 0x51644947BDF21707),
+    (1 << 40, 0xD29C54A36F32BDF8),
+])
+def test_child_keys_pinned(index, key):
+    assert rng.child(rng.seed_rng(0), index).key == key
 
 
 def test_child_does_not_advance_parent():
@@ -84,12 +105,25 @@ def test_sequential_draws_continue_stream():
     assert np.array_equal(np.concatenate([a, b]), both)
 
 
+MASK = (1 << 64) - 1
+
+
+def _mix64(x):
+    """Scalar splitmix64 finalizer on plain ints."""
+    x &= MASK
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+
 def _fills_reference(key, counter, n):
     """Scalar per-element form of uniform_fill and normal_fill."""
     inv53 = 2.0 ** -53
 
     def word(c):
-        return rng._mix64(key + c * rng._GOLDEN)
+        return _mix64(key + c * 0x9E3779B97F4A7C15)
 
     uniform = [float(word(counter + i) >> 11) * inv53 for i in range(n)]
     normal = []
@@ -160,22 +194,41 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("n", [P, 3])
-def test_normal_feed_matches_in_process_draws(n):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """normal_feed forks its producer whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("n, cpus", [
+    pytest.param(P, {0, 1}, id=str(P)),  # a forked producer draws
+    pytest.param(3, {0, 1}, id="3"),
+    pytest.param(P, {0}, id=f"{P}-in_process"),
+    pytest.param(3, {0}, id="3-in_process"),
+])
+def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     # five draws starting 3n words below 2^64: the counter wraps in the second
     key, start, count = rng.seed_rng(21).key, (1 << 64) - 3 * n, 5
     alone = rng.RngState(key, start)
     fed = rng.RngState(key, start)
+    twins = [rng.sample_standard_normal(alone, n) for _ in range(count)]
     with rng.normal_feed(fed, n, count) as draw:
-        for _ in range(count):
-            assert np.array_equal(draw(), rng.sample_standard_normal(alone, n))
+        draws = []
+        for twin in twins:
+            draws.append(draw())
+            assert np.array_equal(draws[-1], twin)
         with pytest.raises(RuntimeError, match="exhausted"):
             draw()
+        # each draw is the caller's own: the first still holds its values
+        # after the producer has refilled its ring slot twice
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(draws, 2))
+        assert all(np.array_equal(got, twin) for got, twin in zip(draws, twins))
     assert fed.counter == alone.counter == (start + 2 * n * count) % (1 << 64)
     _no_child_left()
 
 
-def test_normal_feed_closed_before_drained():
+def test_normal_feed_closed_before_drained(two_cpus):
     state = rng.seed_rng(22)
     with rng.normal_feed(state, P, 50) as draw:
         first = draw()
@@ -184,7 +237,7 @@ def test_normal_feed_closed_before_drained():
     _no_child_left()
 
 
-def test_normal_feed_producer_death_is_an_error(monkeypatch, capfd):
+def test_normal_feed_producer_death_is_an_error(two_cpus, monkeypatch, capfd):
     fill = _kernels.normal_fill
 
     def fails_on_third(key, counter, n):
