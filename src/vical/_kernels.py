@@ -25,7 +25,7 @@ to call, so its only allocation is the array it returns, if any. The
 scratch set makes these kernels not reentrant: one caller at a time per
 process. Separate processes each have their own set, so the producer
 process that ``rng.normal_feed`` forks runs ``normal_fill`` alongside its
-parent's kernels.
+parent's kernels and hands each draw over through a pipe.
 """
 
 from __future__ import annotations

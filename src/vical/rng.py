@@ -1,8 +1,11 @@
 """Counter-based pseudo-random streams.
 
-Experiments must replay bit-identically across runs and machines, so
-this module carries its own generator instead of wrapping a platform
-default. The design is a keyed splitmix64 counter:
+Experiments must replay bit-identically, so this module carries its own
+generator instead of wrapping a platform default. Its integer words are
+the same on every host; its floats, like every report byte, are identical
+for a fixed numpy version, numpy SIMD dispatch level and OpenBLAS core
+(``log`` and ``cos`` round differently across levels). The design is a
+keyed splitmix64 counter:
 
     key     = mix64(seed + GOLDEN)
     word(i) = mix64(key + (counter + i) * GOLDEN)
@@ -21,15 +24,14 @@ does not advance the parent.
 
 Because a draw depends only on (key, counter), a stream's normals can be
 computed ahead of their use. ``normal_feed`` hands out a run of
-``sample_standard_normal`` draws, computed into a small shared ring by a
-forked producer where a second CPU is usable, else in process; the caller
+``sample_standard_normal`` draws, written into one pipe by a forked
+producer where a second CPU is usable, else made in process; the caller
 gets the same arrays, in the same order, and the same final counter.
 """
 
 from __future__ import annotations
 
 import contextlib
-import mmap
 import os
 import traceback
 from dataclasses import dataclass
@@ -88,27 +90,23 @@ def sample_standard_normal(state: RngState, n: int) -> np.ndarray:
     return out
 
 
-_FEED_SLOTS = 2  # ring slots; the producer holds one more draw while it waits for one
+_FEED_DRAWS = 2  # draws the pipe is asked to hold; the producer holds one more while it waits
 
 
-def _produce(key: int, counter: int, n: int, count: int, ring: np.ndarray,
-             ready_w: int, free_r: int) -> None:
-    """The producer's whole life: draw i is computed, then copied into slot
-    i % slots once the consumer has freed it (computing first keeps one
-    more draw ready than the ring holds), and one byte on ``ready_w``
-    announces it. Leaves through ``os._exit`` when done, or when the
-    consumer closes its ends."""
+def _produce(state: RngState, n: int, count: int, pipe_w: int) -> None:
+    """The producer's whole life: draw ``count`` vectors of
+    ``sample_standard_normal(state, n)`` on its own copy of the stream and
+    write each one's 8n bytes to ``pipe_w``, which blocks while the pipe is
+    full. Leaves through ``os._exit`` when done, or when the consumer
+    closes its end."""
     status = 1
     try:
-        for i in range(count):
-            z = _kernels.normal_fill(np.uint64(key), np.uint64(counter), n)
-            counter = (counter + 2 * n) & _MASK
-            if i >= ring.shape[0] and not os.read(free_r, 1):
-                break  # EOF: the consumer closed the feed
-            ring[i % ring.shape[0]] = z
-            os.write(ready_w, b"r")
+        for _ in range(count):
+            view = memoryview(sample_standard_normal(state, n)).cast("B")
+            while view:
+                view = view[os.write(pipe_w, view):]
         status = 0
-    except BrokenPipeError:  # the consumer closed the feed mid-draw
+    except BrokenPipeError:  # the consumer closed the feed
         status = 0
     except Exception:
         traceback.print_exc()
@@ -134,22 +132,22 @@ def normal_feed(state: RngState, n: int, count: int) -> Iterator[Callable[[], np
     pid = None  # no producer: draw in process
     if (count > 0 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        buf = mmap.mmap(-1, _FEED_SLOTS * n * 8)  # anonymous, shared across fork
-        ring = np.frombuffer(buf, dtype=np.float64).reshape(_FEED_SLOTS, n)
-        ready_r, ready_w = os.pipe()  # one byte per filled slot
-        free_r, free_w = os.pipe()    # one byte per slot the consumer is done with
+        import fcntl  # here, not at the top: Windows has no fcntl, and draws in process
+
+        pipe_r, pipe_w = os.pipe()
+        # F_SETPIPE_SZ needs Linux and Python 3.10+; a refused size keeps the default
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(pipe_w, fcntl.F_SETPIPE_SZ, _FEED_DRAWS * 8 * n)
         try:
             pid = os.fork()
         except BaseException:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
+            os.close(pipe_r)
+            os.close(pipe_w)
             raise
         if pid == 0:
-            os.close(ready_r)
-            os.close(free_w)
-            _produce(state.key, state.counter, n, count, ring, ready_w, free_r)
-        os.close(ready_w)
-        os.close(free_r)
+            os.close(pipe_r)
+            _produce(RngState(state.key, state.counter), n, count, pipe_w)
+        os.close(pipe_w)
     taken = 0
 
     def draw() -> np.ndarray:
@@ -159,12 +157,13 @@ def normal_feed(state: RngState, n: int, count: int) -> Iterator[Callable[[], np
         if pid is None:
             out = sample_standard_normal(state, n)
         else:
-            if not os.read(ready_r, 1):
-                raise RuntimeError(f"normal feed producer exited before draw {taken + 1} of {count}")
-            out = ring[taken % _FEED_SLOTS].copy()
-            if taken + 1 + _FEED_SLOTS <= count:  # the producer refills this slot
-                with contextlib.suppress(BrokenPipeError):  # a dead producer: the next read says so
-                    os.write(free_w, b"f")
+            out = np.empty(n)
+            view = memoryview(out).cast("B")
+            while view:
+                got = os.readv(pipe_r, [view])
+                if not got:
+                    raise RuntimeError(f"normal feed producer exited before draw {taken + 1} of {count}")
+                view = view[got:]
             state.counter = (state.counter + 2 * n) & _MASK
         taken += 1
         return out
@@ -173,6 +172,5 @@ def normal_feed(state: RngState, n: int, count: int) -> Iterator[Callable[[], np
         yield draw
     finally:
         if pid is not None:
-            os.close(ready_r)  # the producer sees EPIPE or EOF and leaves
-            os.close(free_w)
+            os.close(pipe_r)  # the producer sees EPIPE and leaves
             os.waitpid(pid, 0)

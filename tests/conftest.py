@@ -1,16 +1,56 @@
 """Shared test plumbing: the acceptance verdict recorder, a traced-peak
-probe, and a guard that fails the session if it leaves a child process.
+probe, a guard that fails the session if it leaves a child process, and
+the host fingerprint that byte-pin assertions print when they fail.
 
 Criterion tests record exactly one PASS/FAIL line each; the lines are
 replayed in the terminal summary so they survive output capture.
 """
 
+import ctypes
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from vical import cli
+
 VERDICTS = []
+
+
+def _openblas_core() -> str:
+    """The loaded OpenBLAS's core name, found as ``cli._set_blas_threads``
+    finds its thread setter."""
+    for lib in cli._openblas_libs():
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_char_p, []
+                return getter().decode("ascii")
+    return "unknown"
+
+
+def host_fingerprint() -> str:
+    """The numerics a byte pin depends on: the numpy version, the SIMD
+    targets numpy dispatches to, and the OpenBLAS core.
+
+    The pins were recorded at numpy 2.4.6 dispatching up to X86_V4
+    (AVX-512) with OpenBLAS's SkylakeX core. At another level ``log``,
+    ``exp``, ``tanh`` and GEMMs round differently, so a pin that fails on
+    a new host names an unrecorded level before it names a regression.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"host numerics: numpy {np.__version__}, dispatch {' '.join(targets) or 'baseline'}, "
+            f"OpenBLAS core {_openblas_core()} (pins recorded at numpy 2.4.6, X86_V4, SkylakeX)")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import host_fingerprint
 from vical import experiment, metrics, model, optim, predict, report
 from vical import rng as vrng
 from vical.config import ExperimentConfig
@@ -361,4 +362,4 @@ def test_golden_report_pin(default_run):
     for name in GOLDEN_SHA256:
         with open(f"{default_run['out_dir']}/{name}", "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
-    assert got == GOLDEN_SHA256
+    assert got == GOLDEN_SHA256, host_fingerprint()

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import host_fingerprint
 from vical import cli, config, data, experiment, model, report
 from vical.config import (
     ConfigError, ExperimentConfig, config_dict, config_hash, load_config,
@@ -342,7 +344,7 @@ def test_ivon_train_samples_pinned():
     h = hashlib.sha256(repr((art.epoch_losses, art.min_hdelta)).encode("ascii"))
     h.update(art.posterior.mean.tobytes())
     h.update(art.posterior.hess.tobytes())
-    assert h.hexdigest() == IVON_TRAIN_SAMPLES_PIN
+    assert h.hexdigest() == IVON_TRAIN_SAMPLES_PIN, host_fingerprint()
 
 
 def _no_child_left():
@@ -477,7 +479,8 @@ def test_lora_evaluation_pinned():
     train, dev = data.generate_dataset(cfg.dataset)
     for method, want in LORA_EVAL_PINS.items():
         art = experiment.train_one(cfg, 0, method, data=(train, dev))
-        assert _eval_digest(experiment.evaluate_one(art, dev, cfg)) == want, method
+        assert _eval_digest(experiment.evaluate_one(art, dev, cfg)) == want, \
+            f"{method}; {host_fingerprint()}"
 
 
 def test_mc_tag_format():
@@ -591,7 +594,7 @@ def test_sweep_temperature_pinned(small_run, tmp_path):
                             artifacts=result.artifacts, data=(result.train, result.dev))
     report.write_sweep_csv(rows, "temperature", str(tmp_path))
     with open(tmp_path / "sweep_temperature.csv", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_TEMPERATURE_PIN
+        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_TEMPERATURE_PIN, host_fingerprint()
 
 
 def test_sweep_validation():
@@ -808,7 +811,7 @@ def test_cli_eval_exports_curves(tmp_path, monkeypatch):
     assert len(calls) == 2 + 4
     for name, digest in EVAL_PINS.items():
         with open(os.path.join(out, name), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, f"{name}; {host_fingerprint()}"
     with open(os.path.join(out, "eval_metrics.csv"), encoding="utf-8") as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -1052,6 +1055,81 @@ def test_benchmark_span_wrappers_are_called(tmp_path):
         "experiment.run_experiment", "report", "cli",
     }
     assert got["called"] == got["wrapped"]
+
+
+# Functions no command reaches by design: the console-script entry point
+# (tests call run_cli), and the feed's producer, which runs in a forked child
+REACH_EXEMPT = {"cli.main", "rng._produce"}
+
+
+def _defined_functions():
+    """Every function and method defined in src/vical, nested ones too, as
+    {(file, first line, name): "module.qualname"}; class bodies, lambdas
+    and comprehensions are left out."""
+    pkg = os.path.dirname(cli.__file__)
+    found = {}
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(pkg, name)
+        with open(path, encoding="utf-8") as fh:
+            todo = [compile(fh.read(), path, "exec")]
+        while todo:
+            code = todo.pop()
+            todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                qualname = getattr(code, "co_qualname", code.co_name)
+                found[(path, code.co_firstlineno, code.co_name)] = f"{name[:-3]}.{qualname}"
+    return found
+
+
+def test_every_function_is_reached_from_a_command(tmp_path):
+    ini = _write_ini(tmp_path)
+    csv_dir = tmp_path / "data"
+    inis = {}
+    for name, body in {
+        "lora": SMALL_INI.replace("hidden_sizes = 12\n",
+                                  "hidden_sizes = 12\nlora = yes\nlora_rank = 2\nlora_alpha = 4\n"),
+        "csv": SMALL_INI.replace("[dataset]\n", f"[dataset]\ntrain_csv = {csv_dir / 'train.csv'}\n"
+                                                 f"dev_csv = {csv_dir / 'dev.csv'}\n"),
+        "diverging": SMALL_INI + "\n[adamw]\nlr = 1e308\n",
+    }.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(body, encoding="utf-8")
+        inis[name] = str(path)
+    commands = [
+        ["gen-data", "--config", ini, "--out", str(csv_dir)],
+        ["train", "--config", ini, "--seed", "0"],
+        ["eval", "--config", ini, "--out", str(tmp_path / "eval1"), "--seed", "0"],
+        ["eval", "--config", ini, "--out", str(tmp_path / "eval2"), "--seed", "0",
+         "--mc-samples", "3", "--temperature", "2"],
+        ["run", "--config", ini, "--out", str(tmp_path / "run1")],
+        ["run", "--config", inis["lora"], "--out", str(tmp_path / "run2")],
+        ["run", "--config", inis["csv"], "--out", str(tmp_path / "run3")],
+        ["sweep", "--config", ini, "--out", str(tmp_path / "sweep1"), "--axis", "mc_samples"],
+        ["sweep", "--config", ini, "--out", str(tmp_path / "sweep2"), "--axis", "temperature"],
+        # a diverging run (exit 4) is the only way into TrainingDiverged
+        ["run", "--config", inis["diverging"], "--out", str(tmp_path / "run4"), "--seed", "0"],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.run_cli(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * (len(commands) - 1) + [4]
+    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
+    defined = _defined_functions()
+    assert REACH_EXEMPT <= set(defined.values())
+    missed = sorted(qual for key, qual in defined.items()
+                    if key not in reached and qual not in REACH_EXEMPT)
+    assert missed == [], f"no command enters {', '.join(missed)}"
 
 
 # ------------------------------------------------------------ BLAS threads --

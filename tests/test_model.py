@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import host_fingerprint
 from vical import data, experiment, model, rng
 from vical.config import ExperimentConfig
 
@@ -222,7 +223,7 @@ LORA_TRAIN_PINS = {
 
 def test_model_outputs_pinned():
     for sizes, want in MODEL_PINS.items():
-        assert _pin_case(sizes) == want, sizes
+        assert _pin_case(sizes) == want, f"{sizes}; {host_fingerprint()}"
 
 
 @pytest.mark.parametrize("sizes", list(MODEL_PINS))
@@ -262,4 +263,4 @@ def test_lora_training_pinned():
     for method, want in LORA_TRAIN_PINS.items():
         art = experiment.train_one(cfg, 0, method, data=train_data)
         final = art.params if method == "adamw" else art.posterior.mean
-        assert hashlib.sha256(final.tobytes()).hexdigest() == want, method
+        assert hashlib.sha256(final.tobytes()).hexdigest() == want, f"{method}; {host_fingerprint()}"

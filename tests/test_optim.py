@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import host_fingerprint
 from vical import _kernels, model, optim, rng
 from vical.model import Batch
 
@@ -420,13 +421,13 @@ def test_adamw_core_pinned_at_default_size():
     params, g, m, v = _adamw_inputs(P)
     for _ in range(3):
         _kernels.adamw_core(params, g, m, v, *ADAMW_ARGS)
-    assert _sha256(params, m, v) == ADAMW_PIN
+    assert _sha256(params, m, v) == ADAMW_PIN, host_fingerprint()
 
 
 def test_ivon_core_pinned_at_default_size():
     mean, hess, gmom, gprod, g = _ivon_inputs(P)
     rets = [_kernels.ivon_core(mean, hess, gmom, gprod, g, *IVON_ARGS) for _ in range(3)]
-    assert _sha256(mean, hess, gmom, [r[0] for r in rets]) == IVON_PIN
+    assert _sha256(mean, hess, gmom, [r[0] for r in rets]) == IVON_PIN, host_fingerprint()
     assert [r[1] for r in rets] == [0, 0, 0]
 
 

@@ -1,3 +1,5 @@
+import errno
+import fcntl
 import hashlib
 import itertools
 import math
@@ -6,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import host_fingerprint
 from vical import _kernels, rng
 
 
@@ -161,7 +164,7 @@ def _sha256(*arrays):
 def test_normal_fill_pinned_at_default_size():
     # 2P counter words starting 1,000 below 2^64: the counter wraps inside the call
     z = _kernels.normal_fill(np.uint64(0x0123456789ABCDEF), np.uint64((1 << 64) - 1000), P)
-    assert _sha256(z) == NORMAL_FILL_PIN
+    assert _sha256(z) == NORMAL_FILL_PIN, host_fingerprint()
 
 
 @pytest.mark.parametrize("counter, h", [
@@ -200,14 +203,22 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-@pytest.mark.parametrize("n, cpus", [
-    pytest.param(P, {0, 1}, id=str(P)),  # a forked producer draws
-    pytest.param(3, {0, 1}, id="3"),
-    pytest.param(P, {0}, id=f"{P}-in_process"),
-    pytest.param(3, {0}, id="3-in_process"),
+def _no_resize(fd, cmd, arg=0):
+    raise OSError(errno.EPERM, "pipe size not allowed")
+
+
+@pytest.mark.parametrize("n, cpus, fcntl_call", [
+    pytest.param(P, {0, 1}, fcntl.fcntl, id=str(P)),  # a forked producer draws
+    pytest.param(3, {0, 1}, fcntl.fcntl, id="3"),
+    pytest.param(P, {0}, fcntl.fcntl, id=f"{P}-in_process"),
+    pytest.param(3, {0}, fcntl.fcntl, id="3-in_process"),
+    # the pipe keeps its default 64 KiB, less than one draw at P: each
+    # draw crosses in several writes and reads
+    pytest.param(P, {0, 1}, _no_resize, id=f"{P}-unresized_pipe"),
 ])
-def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus):
+def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus, fcntl_call):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(fcntl, "fcntl", fcntl_call)
     # five draws starting 3n words below 2^64: the counter wraps in the second
     key, start, count = rng.seed_rng(21).key, (1 << 64) - 3 * n, 5
     alone = rng.RngState(key, start)
@@ -221,7 +232,7 @@ def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus):
         with pytest.raises(RuntimeError, match="exhausted"):
             draw()
         # each draw is the caller's own: the first still holds its values
-        # after the producer has refilled its ring slot twice
+        # after four more draws
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(draws, 2))
         assert all(np.array_equal(got, twin) for got, twin in zip(draws, twins))
     assert fed.counter == alone.counter == (start + 2 * n * count) % (1 << 64)
