@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import experiment, report
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
-from .data import DataError, generate_dataset, save_csv
+from .data import DataError, csv_text, generate_dataset
 
 log = logging.getLogger("vical")
 
@@ -93,8 +93,8 @@ def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_path = os.path.join(cfg.out_dir, "train.csv")
     dev_path = os.path.join(cfg.out_dir, "dev.csv")
-    save_csv(train, train_path)
-    save_csv(dev, dev_path)
+    report.write_text(train_path, csv_text(train))
+    report.write_text(dev_path, csv_text(dev))
     print(f"wrote {train_path} ({len(train)} rows) and {dev_path} ({len(dev)} rows)")
     return 0
 
@@ -155,21 +155,29 @@ def _openblas_libs() -> List[str]:
         return []
 
 
-def _set_blas_threads(n: int) -> None:
-    """Run the loaded OpenBLAS on n threads, or log that it cannot be set."""
+def _openblas_symbol(*names: str):
+    """The first of ``names`` that a loaded OpenBLAS exports, or None."""
     for lib in _openblas_libs():
         try:
             handle = ctypes.CDLL(lib)
         except OSError:  # e.g. a mapping whose file was deleted
             continue
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.restype, setter.argtypes = None, [ctypes.c_int]
-                setter(n)
-                return
-    log.info("no OpenBLAS thread setter found; BLAS keeps its thread count")
+        for name in names:
+            found = getattr(handle, name, None)
+            if found is not None:
+                return found
+    return None
+
+
+def _set_blas_threads(n: int) -> None:
+    """Run the loaded OpenBLAS on n threads, or log that it cannot be set."""
+    setter = _openblas_symbol("scipy_openblas_set_num_threads64_",
+                              "openblas_set_num_threads64_", "openblas_set_num_threads")
+    if setter is None:
+        log.info("no OpenBLAS thread setter found; BLAS keeps its thread count")
+        return
+    setter.restype, setter.argtypes = None, [ctypes.c_int]
+    setter(n)
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:

@@ -82,15 +82,13 @@ def generate_dataset(spec: DatasetSpec):
     return train, dev
 
 
-def save_csv(batch: Batch, path: str) -> None:
+def csv_text(batch: Batch) -> str:
+    """A dataset CSV's text, as ``load_csv`` parses it; repr keeps each float64."""
     d = batch.features.shape[1]
-    header = ",".join([f"feature_{j}" for j in range(d)] + ["label"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(batch.features, batch.labels):
-            cells = [repr(float(v)) for v in row]
-            cells.append(str(int(label)))
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join([f"feature_{j}" for j in range(d)] + ["label"])]
+    for row, label in zip(batch.features, batch.labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    return "\n".join(lines) + "\n"
 
 
 def load_csv(path: str) -> Batch:

@@ -83,9 +83,10 @@ def brier(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
 
 
-def _reliability_rows(
-    conf: np.ndarray, correct: np.ndarray, n_bins: int
+def reliability_table(
+    conf: np.ndarray, correct: np.ndarray, n_bins: int = 10
 ) -> List[Tuple[int, float, float]]:
+    """Per-bin (count, mean confidence, accuracy); empty bins keep count 0."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     conf, correct = _check_scores(conf, correct)
@@ -102,17 +103,8 @@ def _reliability_rows(
     return rows
 
 
-def reliability_table(
-    conf: np.ndarray, correct: np.ndarray, n_bins: int = 10
-) -> List[Tuple[int, float, float]]:
-    """Per-bin (count, mean confidence, accuracy); empty bins keep count 0."""
-    return _reliability_rows(conf, correct, n_bins)
-
-
 def ece(conf: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float:
-    # perfbench/spans.py times each public metric as one span, so the
-    # rows come from the helper: via reliability_table one ECE counts twice
-    rows = _reliability_rows(conf, correct, n_bins)
+    rows = reliability_table(conf, correct, n_bins)
     n = sum(cnt for cnt, _, _ in rows)
     total = 0.0
     for cnt, mean_conf, acc in rows:

@@ -1,7 +1,7 @@
-"""Report files: aligned text table, raw CSV, sweep curves, eval exports,
-metadata. ``experiment`` computes the results; this module writes them.
+"""Every file vical writes, through ``write_text``: the aligned text table,
+raw CSV, sweep curves, eval exports, metadata and gen-data's dataset CSVs.
 
-The CSV keeps raw fractions. The text table multiplies ECE, Brier, and
+``report.csv`` keeps raw fractions. The text table multiplies ECE, Brier, and
 AUC by 100 (the usual presentation scale for these metrics) and tags
 each column with its improvement direction. Outputs contain no
 timestamps, so a rerun with the same config writes identical bytes.
@@ -62,7 +62,7 @@ def _csv_line(cells: Sequence) -> str:
     return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
 
 
-def _write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
     """Write ``text`` to a temp file next to ``path``, then rename it over
     ``path``: a reader sees the old file or the new one, never a part."""
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -79,7 +79,7 @@ def _write_text(path: str, text: str) -> None:
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """All lines are formatted before the file is touched, so a row that
     raises leaves ``path`` as it was."""
-    _write_text(path, "".join(_csv_line(cells) + "\n" for cells in [header, *rows]))
+    write_text(path, "".join(_csv_line(cells) + "\n" for cells in [header, *rows]))
 
 
 def write_report_csv(rows: Sequence[ReportRow], path: str) -> None:
@@ -149,7 +149,7 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
     if result.failures:
         tags = ", ".join(f"{f['method']}/seed{f['seed']}" for f in result.failures)
         table += f"WARNING: {len(result.failures)} failed run(s) excluded: {tags}\n"
-    _write_text(os.path.join(out_dir, "report.txt"), table)
+    write_text(os.path.join(out_dir, "report.txt"), table)
     write_report_csv(result.rows, os.path.join(out_dir, "report.csv"))
     meta = {
         "config_hash": config_hash(cfg),
@@ -160,8 +160,8 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
         "failures": result.failures,
         "versions": _versions(),
     }
-    _write_text(os.path.join(out_dir, "metadata.json"),
-                json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text(os.path.join(out_dir, "metadata.json"),
+               json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return table
 
 

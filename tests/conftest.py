@@ -18,21 +18,24 @@ from vical import cli
 VERDICTS = []
 
 
-def _openblas_core() -> str:
-    """The loaded OpenBLAS's core name, found as ``cli._set_blas_threads``
-    finds its thread setter."""
-    for lib in cli._openblas_libs():
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_corename64_",
-                       "openblas_get_corename64_", "openblas_get_corename"):
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.restype, getter.argtypes = ctypes.c_char_p, []
-                return getter().decode("ascii")
-    return "unknown"
+def openblas_core() -> str:
+    """The loaded OpenBLAS's core name, found by the lookup that
+    ``cli._set_blas_threads`` uses for its thread setter."""
+    getter = cli._openblas_symbol("scipy_openblas_get_corename64_",
+                                  "openblas_get_corename64_", "openblas_get_corename")
+    if getter is None:
+        return "unknown"
+    getter.restype, getter.argtypes = ctypes.c_char_p, []
+    return getter().decode("ascii")
+
+
+def dispatch_targets() -> list:
+    """The SIMD targets numpy dispatches to in this process."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 def host_fingerprint() -> str:
@@ -44,13 +47,9 @@ def host_fingerprint() -> str:
     ``exp``, ``tanh`` and GEMMs round differently, so a pin that fails on
     a new host names an unrecorded level before it names a regression.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    targets = dispatch_targets()
     return (f"host numerics: numpy {np.__version__}, dispatch {' '.join(targets) or 'baseline'}, "
-            f"OpenBLAS core {_openblas_core()} (pins recorded at numpy 2.4.6, X86_V4, SkylakeX)")
+            f"OpenBLAS core {openblas_core()} (pins recorded at numpy 2.4.6, X86_V4, SkylakeX)")
 
 
 @pytest.fixture(scope="session", autouse=True)

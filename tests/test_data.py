@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vical import data
+from vical import data, report
 
 
 def _spec(**overrides):
@@ -89,20 +89,18 @@ def test_spec_validation():
 def test_csv_round_trip(tmp_path):
     train, _ = data.generate_dataset(_spec(n_train=50))
     path = str(tmp_path / "train.csv")
-    data.save_csv(train, path)
+    report.write_text(path, data.csv_text(train))
     back = data.load_csv(path)
     # repr round-trips float64 exactly
     assert np.array_equal(back.features, train.features)
     assert np.array_equal(back.labels, train.labels)
 
 
-def test_csv_header_format(tmp_path):
+def test_csv_header_format():
     train, _ = data.generate_dataset(_spec(n_train=5, n_features=4, n_classes=4))
-    path = str(tmp_path / "t.csv")
-    data.save_csv(train, path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    assert first == "feature_0,feature_1,feature_2,feature_3,label"
+    lines = data.csv_text(train).split("\n")
+    assert lines[0] == "feature_0,feature_1,feature_2,feature_3,label"
+    assert len(lines) == 1 + 5 + 1 and lines[-1] == ""  # every line ends in a newline
 
 
 def test_load_errors_name_the_line(tmp_path):

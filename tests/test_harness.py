@@ -749,6 +749,14 @@ def _write_ini(tmp_path, body=SMALL_INI):
     return str(path)
 
 
+# sha256 of `vical gen-data` on SMALL_INI, recorded while data.save_csv still
+# streamed each row into the target file
+GEN_DATA_PINS = {
+    "train.csv": "5e222078bc13ef661fab1d343f5e7847a0b0595a149b62ffdb0f2f056976c813",
+    "dev.csv": "01ef7469c65c05be3dc747efd3e28edde58fc32ad104dd3e16291c942c6483a3",
+}
+
+
 def test_cli_gen_data(tmp_path):
     ini = _write_ini(tmp_path)
     out = str(tmp_path / "data")
@@ -756,6 +764,20 @@ def test_cli_gen_data(tmp_path):
     train = data.load_csv(os.path.join(out, "train.csv"))
     dev = data.load_csv(os.path.join(out, "dev.csv"))
     assert len(train) == 96 and len(dev) == 60
+    for name, digest in GEN_DATA_PINS.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, f"{name}; {host_fingerprint()}"
+
+
+def test_cli_gen_data_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "data"
+    with pytest.raises(OSError, match="No space left"):
+        cli.run_cli(["gen-data", "--config", _write_ini(tmp_path), "--out", str(out)])
+    assert os.listdir(out) == []
 
 
 def test_cli_run_and_rerun_identical(tmp_path):
@@ -990,8 +1012,9 @@ def test_cli_run_report_ignores_seed_order(tmp_path):
 ])
 def test_cli_dev_csv_incompatible_with_train(tmp_path, dev_features, dev_labels):
     train = data.Batch(np.zeros((12, 2)), np.arange(12) % 3)
-    data.save_csv(train, str(tmp_path / "train.csv"))
-    data.save_csv(data.Batch(dev_features, dev_labels), str(tmp_path / "dev.csv"))
+    report.write_text(str(tmp_path / "train.csv"), data.csv_text(train))
+    report.write_text(str(tmp_path / "dev.csv"),
+                      data.csv_text(data.Batch(dev_features, dev_labels)))
     ini = _write_ini(tmp_path, SMALL_INI.replace(
         "seed = 5",
         f"seed = 5\ntrain_csv = {tmp_path}/train.csv\ndev_csv = {tmp_path}/dev.csv",
@@ -1083,7 +1106,9 @@ def _defined_functions():
     return found
 
 
-def test_every_function_is_reached_from_a_command(tmp_path):
+def _every_command(tmp_path):
+    """Ten CLI invocations on SMALL_INI-sized configs that between them
+    enter every function of src/vical; the last one exits 4."""
     ini = _write_ini(tmp_path)
     csv_dir = tmp_path / "data"
     inis = {}
@@ -1097,7 +1122,7 @@ def test_every_function_is_reached_from_a_command(tmp_path):
         path = tmp_path / f"{name}.ini"
         path.write_text(body, encoding="utf-8")
         inis[name] = str(path)
-    commands = [
+    return [
         ["gen-data", "--config", ini, "--out", str(csv_dir)],
         ["train", "--config", ini, "--seed", "0"],
         ["eval", "--config", ini, "--out", str(tmp_path / "eval1"), "--seed", "0"],
@@ -1111,6 +1136,14 @@ def test_every_function_is_reached_from_a_command(tmp_path):
         # a diverging run (exit 4) is the only way into TrainingDiverged
         ["run", "--config", inis["diverging"], "--out", str(tmp_path / "run4"), "--seed", "0"],
     ]
+
+
+def _run_every_command(tmp_path):
+    commands = _every_command(tmp_path)
+    assert [cli.run_cli(argv) for argv in commands] == [0] * (len(commands) - 1) + [4]
+
+
+def test_every_function_is_reached_from_a_command(tmp_path):
     entered = set()
 
     def profile(frame, event, arg):
@@ -1120,16 +1153,40 @@ def test_every_function_is_reached_from_a_command(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        codes = [cli.run_cli(argv) for argv in commands]
+        _run_every_command(tmp_path)
     finally:
         sys.setprofile(previous)
-    assert codes == [0] * (len(commands) - 1) + [4]
     reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
     defined = _defined_functions()
     assert REACH_EXEMPT <= set(defined.values())
     missed = sorted(qual for key, qual in defined.items()
                     if key not in reached and qual not in REACH_EXEMPT)
     assert missed == [], f"no command enters {', '.join(missed)}"
+
+
+def test_every_config_key_is_read_by_a_command(tmp_path, monkeypatch):
+    cfg = ExperimentConfig()
+    keys = {(type(obj), key): f"{section}.{key}" for section in config._SECTIONS
+            for key, obj in config._section_keys(cfg, section).items()}
+    pkg = os.path.dirname(cli.__file__)
+    read = set()
+
+    def spy(obj, name):
+        key = keys.get((type(obj), name))
+        caller = sys._getframe(1).f_code
+        # config reads every key to validate and hash it, and validate_spec
+        # checks the dataset's; a key that only they read changes no output
+        if (key is not None and caller.co_filename.startswith(pkg)
+                and caller.co_filename != config.__file__
+                and caller is not data.validate_spec.__code__):
+            read.add(key)
+        return object.__getattribute__(obj, name)
+
+    for cls in {cls for cls, _ in keys}:
+        monkeypatch.setattr(cls, "__getattribute__", spy)
+    _run_every_command(tmp_path)
+    unread = sorted(set(keys.values()) - read)
+    assert unread == [], f"no command reads {', '.join(unread)}"
 
 
 # ------------------------------------------------------------ BLAS threads --

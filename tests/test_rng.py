@@ -161,10 +161,14 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
-def test_normal_fill_pinned_at_default_size():
+def normal_fill_digest():
     # 2P counter words starting 1,000 below 2^64: the counter wraps inside the call
-    z = _kernels.normal_fill(np.uint64(0x0123456789ABCDEF), np.uint64((1 << 64) - 1000), P)
-    assert _sha256(z) == NORMAL_FILL_PIN, host_fingerprint()
+    return _sha256(_kernels.normal_fill(np.uint64(0x0123456789ABCDEF),
+                                        np.uint64((1 << 64) - 1000), P))
+
+
+def test_normal_fill_pinned_at_default_size():
+    assert normal_fill_digest() == NORMAL_FILL_PIN, host_fingerprint()
 
 
 @pytest.mark.parametrize("counter, h", [
