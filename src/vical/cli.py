@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, run, sweep. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 run failure.
+2 configuration or output error (a bad INI file or flag, a size past
+``data.MAX_ELEMENTS`` = 2**26 values, or an output directory that cannot be
+created, all found before any data is read; or a write that fails later,
+which leaves the old file whole), 3 data error, 4 run failure. ``run_cli``
+alone picks the code: each command returns its failure records.
 """
 
 from __future__ import annotations
@@ -85,31 +89,30 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     spec = cfg.dataset
     if args.seed is not None:
         spec.seed = args.seed
     train, dev = generate_dataset(spec)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train_path = os.path.join(cfg.out_dir, "train.csv")
     dev_path = os.path.join(cfg.out_dir, "dev.csv")
     report.write_text(train_path, csv_text(train))
     report.write_text(dev_path, csv_text(dev))
     print(f"wrote {train_path} ({len(train)} rows) and {dev_path} ({len(dev)} rows)")
-    return 0
+    return []
 
 
-def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
     for method in experiment.methods(cfg):
         art = experiment.train_one(cfg, seed, method, data=data)
         losses = ", ".join(f"{v:.4f}" for v in art.epoch_losses)
         print(f"{method} seed {seed}: {art.steps} steps, epoch losses [{losses}]")
-    return 0
+    return []
 
 
-def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     cfg.seeds = cfg.seeds[:1]
     result = experiment.run_experiment(cfg)
     for ev in result.evals:
@@ -118,23 +121,22 @@ def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.out:
         report.emit_eval(result, cfg, cfg.out_dir)
         print(f"wrote metrics and curves under {cfg.out_dir}")
-    return 4 if result.failures else 0  # run_experiment logged each failure
+    return result.failures  # run_experiment logged each one
 
 
-def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     result = experiment.run_experiment(cfg)
     print(report.emit_report(result, cfg, cfg.out_dir), end="")
     if result.failures:
         log.error("%d run(s) failed; see metadata.json", len(result.failures))
-        return 4
-    return 0
+    return result.failures
 
 
-def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     rows = experiment.sweep(cfg, args.axis)
     report.write_sweep_csv(rows, args.axis, cfg.out_dir)
     print(f"wrote sweep_{args.axis}.csv with {len(rows)} rows under {cfg.out_dir}")
-    return 0
+    return []  # a failed run raised TrainingDiverged
 
 
 _COMMANDS = {
@@ -191,7 +193,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     _set_blas_threads(1)
     try:
         cfg = _configure(args)
-        return _COMMANDS[args.command](cfg, args)
+        if args.command in ("gen-data", "run", "sweep") or getattr(args, "out", None):
+            os.makedirs(cfg.out_dir, exist_ok=True)  # before any data is read
+        return 4 if _COMMANDS[args.command](cfg, args) else 0
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2
@@ -201,6 +205,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except experiment.TrainingDiverged as exc:
         log.error("run failure: %s", exc)
         return 4
+    except OSError as exc:  # the output directory, or a write under it
+        log.error("output error: %s", exc)
+        return 2
 
 
 def main() -> None:

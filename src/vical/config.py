@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field, fields, asdict
 from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
-from .data import DataError, DatasetSpec, validate_spec
+from .data import MAX_ELEMENTS, DataError, DatasetSpec, validate_spec
+from .model import n_params
 from .optim import AdamwConfig, IvonConfig
 
 
@@ -116,14 +117,18 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+        items = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:  # items() interpolates "%"
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         targets = _section_keys(cfg, section)
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in targets:
                 raise ConfigError(f"unknown key {section}.{key}")
             obj = targets[key]
@@ -152,6 +157,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("set both dataset.train_csv and dataset.dev_csv, or neither")
     if any(h < 1 for h in cfg.hidden_sizes):
         raise ConfigError("model.hidden_sizes entries must be >= 1")
+    spec = cfg.dataset
+    if n_params((spec.n_features, *cfg.hidden_sizes, spec.n_classes)) > MAX_ELEMENTS:
+        raise ConfigError(f"model.hidden_sizes give more than {MAX_ELEMENTS:,} parameters "
+                          "(for [dataset]'s n_features and n_classes)")
     if cfg.lora and cfg.lora_rank < 1:
         raise ConfigError("model.lora_rank must be >= 1")
     for name, opt in (("adamw", cfg.adamw), ("ivon", cfg.ivon)):

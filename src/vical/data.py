@@ -27,6 +27,11 @@ class DataError(Exception):
     """Bad dataset file or spec; maps to exit code 3 in the CLI."""
 
 
+# The most float64 values one dataset (both splits) or one parameter vector may
+# hold, 512 MiB: a larger size is a typo, and would only end in a MemoryError.
+MAX_ELEMENTS = 2**26
+
+
 @dataclass
 class DatasetSpec:
     n_classes: int
@@ -49,6 +54,8 @@ def validate_spec(spec: DatasetSpec) -> None:
         raise DataError("label noise must lie in [0, 1)")
     if spec.separation < 0.0:
         raise DataError("separation must be >= 0")
+    if (spec.n_train + spec.n_dev) * spec.n_features > MAX_ELEMENTS:
+        raise DataError(f"(n_train + n_dev) x n_features must be at most {MAX_ELEMENTS:,} values")
 
 
 def class_centers(spec: DatasetSpec) -> np.ndarray:
@@ -95,8 +102,11 @@ def load_csv(path: str) -> Batch:
     """Parse a dataset CSV; errors name the offending file line."""
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")

@@ -45,7 +45,8 @@ def _check_probs(probs: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.
     if labels.shape != (probs.shape[0],):
         raise ValueError("labels do not match probability rows")
     sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(probs < -1e-9):
+    # written so that NaN fails each comparison
+    if not (np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(probs >= -1e-9)):
         raise ValueError("probability rows are not valid distributions")
     return probs, labels
 
@@ -57,8 +58,10 @@ def _check_scores(conf: np.ndarray, correct: np.ndarray) -> Tuple[np.ndarray, np
         raise ValueError("empty confidence array")
     if correct.shape != conf.shape:
         raise ValueError("correct does not match confidence rows")
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails too
         raise ValueError("confidence outside [0, 1]")
+    if not np.all((correct == 0.0) | (correct == 1.0)):
+        raise ValueError("correct must hold only 0 and 1")
     return conf, correct
 
 

@@ -63,8 +63,9 @@ def _csv_line(cells: Sequence) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write ``text`` to a temp file next to ``path``, then rename it over
-    ``path``: a reader sees the old file or the new one, never a part."""
+    """Write ``text`` to a temp file next to ``path``, in a directory made if missing, then
+    rename it over ``path``: a reader sees the old file or the new one, never a part."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -93,7 +94,6 @@ def write_report_csv(rows: Sequence[ReportRow], path: str) -> None:
 
 
 def write_sweep_csv(rows: List[dict], axis: str, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
     _write_csv(path, ["axis_value", "seed", *SWEEP_KEYS], (
         [r["axis_value"], r["seed"]] + [float(r[k]) for k in SWEEP_KEYS]
@@ -144,7 +144,6 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
     When every run failed, the table and CSV have no rows and the
     WARNING line and metadata.json name the failures.
     """
-    os.makedirs(out_dir, exist_ok=True)
     table = format_table(result.rows)
     if result.failures:
         tags = ", ".join(f"{f['method']}/seed{f['seed']}" for f in result.failures)
@@ -168,7 +167,6 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
 def emit_eval(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     """Write eval_metrics.csv (every per-seed row), risk_coverage.csv and
     reliability.csv (the point and mean rows, which keep their probabilities)."""
-    os.makedirs(out_dir, exist_ok=True)
     write_eval_csv(result.evals, os.path.join(out_dir, "eval_metrics.csv"))
     scores = {ev.method: records_from_probs(ev.probs, result.dev.labels)
               for ev in result.evals if ev.probs is not None}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ def test_spec_validation():
         data.validate_spec(_spec(label_noise=-0.1))
     with pytest.raises(data.DataError):
         data.validate_spec(_spec(separation=-1.0))
+    # sizes past the ceiling are rejected before anything is allocated
+    for big in ({"n_dev": 2**31}, {"n_train": 10**20},
+                {"n_train": data.MAX_ELEMENTS // 16 - 99, "n_dev": 100}):
+        with pytest.raises(data.DataError, match="at most"):
+            data.validate_spec(_spec(**big))
+    data.validate_spec(_spec(n_train=data.MAX_ELEMENTS // 16 - 100, n_dev=100))
 
 
 def test_csv_round_trip(tmp_path):
@@ -132,6 +140,13 @@ def test_load_errors_name_the_line(tmp_path):
 
     with pytest.raises(data.DataError, match="not found"):
         data.load_csv(str(tmp_path / "missing.csv"))
+
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    with pytest.raises(data.DataError, match="cannot read .*bad.csv: 'utf-8' codec"):
+        data.load_csv(str(path))
+    if os.path.isfile("/proc/self/mem"):  # a file whose read fails with EIO
+        with pytest.raises(data.DataError, match="cannot read /proc/self/mem"):
+            data.load_csv("/proc/self/mem")
 
 
 def test_label_noise_rate_is_close_to_rho():

@@ -1,4 +1,5 @@
 import ast
+import configparser
 import hashlib
 import importlib.util
 import inspect
@@ -9,9 +10,11 @@ import pickle
 import subprocess
 import sys
 import warnings
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import host_fingerprint
 from vical import cli, config, data, experiment, model, report
@@ -137,6 +140,13 @@ def test_load_config_rejects_unknown_names(tmp_path):
         load_config(str(path))
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.ini"))
+    # malformed INI text and non-UTF-8 bytes name the file
+    for body in (b"foo = 1\n", b"[run]\nseeds = 0\nseeds = 1\n", b"[run]\n  orphan\n",
+                 b"[run]\nout_dir = 100%\n", b"\x89PNG\r\n\x1a\n\xff\xfe"):
+        path.write_bytes(body)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value), body
 
 
 def test_validate_config_invariants():
@@ -147,6 +157,7 @@ def test_validate_config_invariants():
         {"epochs": 0},
         {"batch_size": 0},
         {"hidden_sizes": (0,)},
+        {"hidden_sizes": (99999999999,)},  # past data.MAX_ELEMENTS parameters
     ):
         cfg = _small_cfg(**breakage)
         with pytest.raises(ConfigError):
@@ -769,14 +780,15 @@ def test_cli_gen_data(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, f"{name}; {host_fingerprint()}"
 
 
-def test_cli_gen_data_failed_write_leaves_nothing(tmp_path, monkeypatch):
+def test_cli_gen_data_failed_write_leaves_nothing(tmp_path, monkeypatch, caplog):
     def refuse(src, dst):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, "replace", refuse)
     out = tmp_path / "data"
-    with pytest.raises(OSError, match="No space left"):
-        cli.run_cli(["gen-data", "--config", _write_ini(tmp_path), "--out", str(out)])
+    assert cli.run_cli(["gen-data", "--config", _write_ini(tmp_path), "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        "output error: [Errno 28] No space left on device"]
     assert os.listdir(out) == []
 
 
@@ -882,6 +894,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         grid_ini = _write_ini(tmp_path, SMALL_INI + f"\n[sweep]\n{grid}\n")
         assert cli.run_cli(["sweep", "--config", grid_ini, "--axis", axis,
                             "--out", str(tmp_path / "sweep_out")]) == 2, grid
+
+    # so does an output directory that is a file or lies under one
+    afile = tmp_path / "afile"
+    afile.write_text("x\n", encoding="utf-8")
+    for command in (["gen-data"], ["eval", "--seed", "0"], ["run"], ["sweep", "--axis", "mc_samples"]):
+        for out in (afile, afile / "x"):
+            assert cli.run_cli([*command, "--config", _write_ini(tmp_path),
+                                "--out", str(out)]) == 2, (command, out)
+    assert afile.read_text(encoding="utf-8") == "x\n"
 
     # the single-seed commands have no --seeds to ignore
     for command in ("eval", "train", "gen-data"):
@@ -1021,6 +1042,114 @@ def test_cli_dev_csv_incompatible_with_train(tmp_path, dev_features, dev_labels)
     ))
     assert cli.run_cli(["eval", "--config", ini, "--seed", "0",
                         "--out", str(tmp_path / "eval_out")]) == 3
+
+
+# ------------------------------------------------------ generated inputs --
+
+class _Trained(Exception):
+    """Raised in place of training: the command passed every input check."""
+
+
+# lines configparser cannot read, a "%" it cannot interpolate, a section vical lacks
+MALFORMED_LINES = ["foo = 1", "  orphan", "orphan", "[run]", "[run", "[nosuch]",
+                   "[DEFAULT]", "x = %(nosuch)s", "out_dir = 100%"]
+
+
+def _ini_value(hint):
+    """Text for one value of the annotated type: valid, out of range or of
+    the wrong type. An int is small, or so large that no allocation of its
+    size can succeed, so a size that slipped past the ceiling would fail
+    fast instead of taking the host's memory."""
+    if get_origin(hint) in (list, tuple):
+        return st.lists(_ini_value(get_args(hint)[0]), max_size=3).map(", ".join)
+    if hint is bool:
+        return st.sampled_from(["yes", "off", "1", "maybe", ""])
+    if hint is int:
+        return (st.integers(-2, 40) | st.integers(10**13, 10**30)).map(str) \
+            | st.sampled_from(["", "x", "1.5"])
+    if hint is float:
+        return st.floats().map(repr) | st.sampled_from(["", "x"])
+    if hint == Optional[str]:  # the dataset CSVs
+        return st.sampled_from(["", "good.csv", "binary.csv", "missing.csv", "afile", "out"])
+    return st.sampled_from(["", "out", "afile", "afile/x", "100%", "adamw", "ivon", "both"])
+
+
+@st.composite
+def _ini_files(draw):
+    """INI bytes: SMALL_INI with up to two of config's own keys redrawn,
+    maybe both dataset CSVs, and maybe a malformed line or a byte that is
+    not UTF-8."""
+    cfg = ExperimentConfig()
+    hints = {(section, key): get_type_hints(type(obj))[key] for section in config._SECTIONS
+             for key, obj in config._section_keys(cfg, section).items()}
+    base = configparser.ConfigParser()
+    base.read_string(SMALL_INI)
+    values = {section: dict(base[section]) for section in base.sections()}
+    chosen = draw(st.lists(st.sampled_from(sorted(hints)), max_size=2))
+    chosen += draw(st.sampled_from([[], [("dataset", "train_csv"), ("dataset", "dev_csv")]]))
+    for section, key in chosen:
+        values.setdefault(section, {})[key] = draw(_ini_value(hints[section, key]))
+    lines = [line for section, pairs in values.items()
+             for line in [f"[{section}]", *(f"{k} = {v}" for k, v in pairs.items())]]
+    flaw = draw(st.sampled_from([None, None, "line", "byte"]))
+    if flaw == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_LINES)))
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    if flaw == "byte":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + b"\xff" + text[cut:]
+    return text
+
+
+def _small_ini_with(old, new):
+    return SMALL_INI.replace(old, new).encode("utf-8")
+
+
+def test_cli_generated_inputs_end_with_an_exit_code(tmp_path, monkeypatch):
+    """Every command, on generated INI files and --out targets that are a
+    file or lie under one, exits 0, 2, 3 or 4 or reaches training; any
+    other exception fails the test with its traceback."""
+    def trained(*args, **kwargs):
+        raise _Trained
+
+    monkeypatch.setattr(experiment, "train_one", trained)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("x\n", encoding="utf-8")
+    (tmp_path / "binary.csv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    report.write_text("good.csv", data.csv_text(data.Batch(np.zeros((6, 3)), np.arange(6) % 3)))
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(_ini_files(), st.sampled_from(sorted(cli._COMMANDS)),
+           st.sampled_from([None, "out", "afile", "afile/x"]))
+    # the measured classes that ended in a traceback: a malformed INI, a binary
+    # config or dataset CSV, an impossible size, an output path under a file
+    @example(b"foo = 1\n", "run", None)
+    @example(_small_ini_with("seeds = 0,1", "seeds = 0\nseeds = 1"), "run", None)
+    @example(b"[run]\n  orphan\n", "run", None)
+    @example(b"\x89PNG\r\n\x1a\n\xff\xfe", "run", None)
+    @example(_small_ini_with("seed = 5", "seed = 5\ntrain_csv = binary.csv\ndev_csv = good.csv"),
+             "run", None)
+    @example(_small_ini_with("n_train = 96", "n_train = 99999999999999999999"), "sweep", None)
+    @example(SMALL_INI.encode("utf-8"), "eval", "afile/x")
+    @example(SMALL_INI.encode("utf-8"), "gen-data", "out")  # exits 0
+    @example(SMALL_INI.encode("utf-8"), "run", "out")  # reaches training
+    def check(ini, command, out):
+        (tmp_path / "gen.ini").write_bytes(ini)
+        argv = [command, "--config", "gen.ini"]
+        argv += ["--out", out] if out and command != "train" else []
+        argv += ["--axis", "mc_samples"] if command == "sweep" else []
+        try:
+            code = cli.run_cli(argv)
+        except _Trained:
+            code = "trained"
+        assert code in (0, 2, 3, 4, "trained"), argv
+        if out in ("afile", "afile/x") and command != "train":
+            assert code == 2, argv  # found before any data is read
+        seen.add(code)
+
+    check()
+    assert seen == {0, 2, 3, "trained"}  # no run can fail when nothing trains
 
 
 def test_python_m_vical_help():

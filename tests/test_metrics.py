@@ -203,3 +203,10 @@ def test_validation_errors():
         metrics.accuracy(np.array([[0.5, 0.6]]), np.array([0]))
     with pytest.raises(ValueError):
         metrics.nll(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    # NaN confidences and probabilities, and a `correct` that is not 0 or 1
+    with pytest.raises(ValueError, match="confidence"):
+        metrics.ece(np.array([np.nan, 0.5]), np.ones(2))
+    with pytest.raises(ValueError, match="distributions"):
+        metrics.accuracy(np.array([[np.nan, np.nan]]), np.array([0]))
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        metrics.ece(np.array([0.5]), np.array([2.0]))
