@@ -19,12 +19,16 @@ from dataclasses import dataclass, field, fields, asdict
 from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .data import MAX_ELEMENTS, DataError, DatasetSpec, validate_spec
-from .model import n_params
+from .model import lora_n_params, n_params
 from .optim import AdamwConfig, IvonConfig
 
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2 in the CLI."""
+
+
+# metrics.reliability_table loops once per bin and reliability.csv gets a row per bin
+MAX_ECE_BINS = 10_000
 
 
 @dataclass
@@ -153,16 +157,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
         validate_spec(cfg.dataset)
     except DataError as exc:
         raise ConfigError(f"dataset: {exc}") from None
+    if any("\0" in (path or "") for path in (cfg.out_dir, cfg.train_csv, cfg.dev_csv)):
+        raise ConfigError("run.out_dir, dataset.train_csv and dataset.dev_csv "
+                          "must not hold a NUL byte")
     if (cfg.train_csv is None) != (cfg.dev_csv is None):
         raise ConfigError("set both dataset.train_csv and dataset.dev_csv, or neither")
     if any(h < 1 for h in cfg.hidden_sizes):
         raise ConfigError("model.hidden_sizes entries must be >= 1")
-    spec = cfg.dataset
-    if n_params((spec.n_features, *cfg.hidden_sizes, spec.n_classes)) > MAX_ELEMENTS:
+    sizes = (cfg.dataset.n_features, *cfg.hidden_sizes, cfg.dataset.n_classes)
+    if n_params(sizes) > MAX_ELEMENTS:
         raise ConfigError(f"model.hidden_sizes give more than {MAX_ELEMENTS:,} parameters "
                           "(for [dataset]'s n_features and n_classes)")
     if cfg.lora and cfg.lora_rank < 1:
         raise ConfigError("model.lora_rank must be >= 1")
+    if cfg.lora and lora_n_params(sizes, cfg.lora_rank) > MAX_ELEMENTS:
+        raise ConfigError(f"model.lora_rank gives more than {MAX_ELEMENTS:,} LoRA factor "
+                          "entries (for model.hidden_sizes and [dataset])")
     for name, opt in (("adamw", cfg.adamw), ("ivon", cfg.ivon)):
         if opt.lr <= 0:
             raise ConfigError(f"{name}.lr must be > 0")
@@ -190,8 +200,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if len({f"{t:g}" for t in cfg.eval.temperatures}) != len(cfg.eval.temperatures):
         raise ConfigError("eval.temperatures must differ in their first 6 "
                           "significant digits (they name the report rows)")
-    if cfg.eval.ece_bins < 1:
-        raise ConfigError("eval.ece_bins must be >= 1")
+    if not 1 <= cfg.eval.ece_bins <= MAX_ECE_BINS:
+        raise ConfigError(f"eval.ece_bins must lie in [1, {MAX_ECE_BINS:,}]")
     if any(k < 1 for k in cfg.sweep.mc_grid):
         raise ConfigError("sweep.mc_grid values must be >= 1")
     if any(t <= 0 for t in cfg.sweep.temperature_grid):

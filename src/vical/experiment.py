@@ -8,10 +8,10 @@ feeds MC sample k. AdamW and IVON runs for the same seed therefore
 share initialization and batch order exactly, which is what makes the
 per-seed comparison paired.
 
-An IVON run takes its training draws from ``rng.normal_feed``, which
-computes them in a forked producer process while the run computes
-gradients and updates (reaped when training ends or fails), or makes
-the same draws in process where no second CPU is usable.
+An IVON run takes the training draws ``optim.ivon_train_step`` asks for
+from ``rng.normal_feed``, which computes them in a forked producer while
+the run computes gradients and updates (reaped when training ends or
+fails), or makes them in process where no second CPU is usable.
 
 Each (seed, method) run is one ``run_job`` (train unless handed the
 artifact, score, turn a divergence into a failure record), mapped in
@@ -23,6 +23,7 @@ This module writes no files; ``report`` writes what it returns.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -190,8 +191,8 @@ def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
     adamw_state = optim.adamw_init(theta.shape[0]) if optimizer == "adamw" else None
     post = optim.init_posterior(theta, cfg.ivon) if optimizer == "ivon" else None
     min_hd = np.inf
-    draws = total_steps * cfg.ivon.train_samples if optimizer == "ivon" else 0
-    with vrng.normal_feed(noise_rng, theta.shape[0], draws) as draw:
+    with (vrng.normal_feed(noise_rng, theta.shape[0]) if optimizer == "ivon"
+          else contextlib.nullcontext()) as draw:
         try:
             for _ in range(cfg.epochs):
                 order = _epoch_order(shuffle_rng, n)

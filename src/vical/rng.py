@@ -23,10 +23,10 @@ Child streams hash the parent key with a separate odd constant and a
 does not advance the parent.
 
 Because a draw depends only on (key, counter), a stream's normals can be
-computed ahead of their use. ``normal_feed`` hands out a run of
-``sample_standard_normal`` draws, written into one pipe by a forked
-producer where a second CPU is usable, else made in process; the caller
-gets the same arrays, in the same order, and the same final counter.
+computed ahead of their use. ``normal_feed`` hands out
+``sample_standard_normal`` draws until closed, written into one pipe by
+a forked producer where a second CPU is usable, else made in process;
+the caller gets the same arrays, in the same order, and the same counter.
 """
 
 from __future__ import annotations
@@ -93,19 +93,17 @@ def sample_standard_normal(state: RngState, n: int) -> np.ndarray:
 _FEED_DRAWS = 2  # draws the pipe is asked to hold; the producer holds one more while it waits
 
 
-def _produce(state: RngState, n: int, count: int, pipe_w: int) -> None:
-    """The producer's whole life: draw ``count`` vectors of
-    ``sample_standard_normal(state, n)`` on its own copy of the stream and
-    write each one's 8n bytes to ``pipe_w``, which blocks while the pipe is
-    full. Leaves through ``os._exit`` when done, or when the consumer
-    closes its end."""
+def _produce(state: RngState, n: int, pipe_w: int) -> None:
+    """The producer's whole life: draw ``sample_standard_normal(state, n)``
+    on its own copy of the stream and write each draw's 8n bytes to
+    ``pipe_w``, which blocks while the pipe is full, until the consumer
+    closes its end. Leaves through ``os._exit``."""
     status = 1
     try:
-        for _ in range(count):
+        while True:
             view = memoryview(sample_standard_normal(state, n)).cast("B")
             while view:
                 view = view[os.write(pipe_w, view):]
-        status = 0
     except BrokenPipeError:  # the consumer closed the feed
         status = 0
     except Exception:
@@ -115,62 +113,53 @@ def _produce(state: RngState, n: int, count: int, pipe_w: int) -> None:
 
 
 @contextlib.contextmanager
-def normal_feed(state: RngState, n: int, count: int) -> Iterator[Callable[[], np.ndarray]]:
-    """Up to ``count`` draws of ``sample_standard_normal(state, n)``.
+def normal_feed(state: RngState, n: int) -> Iterator[Callable[[], np.ndarray]]:
+    """Draws of ``sample_standard_normal(state, n)`` until the feed closes.
 
     Yields ``draw()``, which returns the next draw as a new array and
-    advances ``state.counter`` by 2n, as the in-process call would. The
-    draws are computed ahead by a forked producer process when ``count``
-    is positive, the platform has ``os.fork`` and ``os.sched_getaffinity``,
-    and more than one CPU is usable; otherwise ``draw()`` makes each one in
-    process. A producer that dies early raises RuntimeError in ``draw()``.
-    On exit, even through an exception, the producer is told to stop and
-    is reaped.
+    advances ``state.counter`` by 2n, as the in-process call would. Where
+    the platform has ``os.fork`` and ``os.sched_getaffinity`` and more than
+    one CPU is usable, a forked producer computes the draws ahead, and one
+    that dies early raises RuntimeError in ``draw()``; otherwise ``draw``
+    is the in-process sampler itself. On exit, even through an exception,
+    the producer is told to stop and is reaped.
     """
     if n < 1:
         raise ValueError("requested an empty sample (n must be >= 1)")
-    pid = None  # no producer: draw in process
-    if (count > 0 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        import fcntl  # here, not at the top: Windows has no fcntl, and draws in process
+        yield lambda: sample_standard_normal(state, n)
+        return
+    import fcntl  # here, not at the top: Windows has no fcntl, and draws in process
 
-        pipe_r, pipe_w = os.pipe()
-        # F_SETPIPE_SZ needs Linux and Python 3.10+; a refused size keeps the default
-        with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(pipe_w, fcntl.F_SETPIPE_SZ, _FEED_DRAWS * 8 * n)
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(pipe_r)
-            os.close(pipe_w)
-            raise
-        if pid == 0:
-            os.close(pipe_r)
-            _produce(RngState(state.key, state.counter), n, count, pipe_w)
+    pipe_r, pipe_w = os.pipe()
+    # F_SETPIPE_SZ needs Linux and Python 3.10+; a refused size keeps the default
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(pipe_w, fcntl.F_SETPIPE_SZ, _FEED_DRAWS * 8 * n)
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(pipe_r)
         os.close(pipe_w)
-    taken = 0
+        raise
+    if pid == 0:
+        os.close(pipe_r)
+        _produce(RngState(state.key, state.counter), n, pipe_w)
+    os.close(pipe_w)
 
     def draw() -> np.ndarray:
-        nonlocal taken
-        if taken == count:
-            raise RuntimeError(f"normal feed exhausted after {count} draws")
-        if pid is None:
-            out = sample_standard_normal(state, n)
-        else:
-            out = np.empty(n)
-            view = memoryview(out).cast("B")
-            while view:
-                got = os.readv(pipe_r, [view])
-                if not got:
-                    raise RuntimeError(f"normal feed producer exited before draw {taken + 1} of {count}")
-                view = view[got:]
-            state.counter = (state.counter + 2 * n) & _MASK
-        taken += 1
+        out = np.empty(n)
+        view = memoryview(out).cast("B")
+        while view:
+            got = os.readv(pipe_r, [view])
+            if not got:
+                raise RuntimeError("normal feed producer exited early")
+            view = view[got:]
+        state.counter = (state.counter + 2 * n) & _MASK
         return out
 
     try:
         yield draw
     finally:
-        if pid is not None:
-            os.close(pipe_r)  # the producer sees EPIPE and leaves
-            os.waitpid(pid, 0)
+        os.close(pipe_r)  # the producer sees EPIPE and leaves
+        os.waitpid(pid, 0)

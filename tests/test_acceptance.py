@@ -3,25 +3,49 @@
 Each test ends with a single verdict line.  The heavy fixture trains the
 default configuration once (10 seeds, both optimizers) and runs the
 MC-sample sweep on the trained posteriors; criteria 3 and 5 through 10
-read from it.  Criteria 1, 2, and 4 are self-contained oracle checks.
+read from it.  When criterion 10 is collected, the fixture first starts
+``vical run`` on the same defaults in a child process, which runs beside
+it; criterion 10 compares the two runs' report bytes.  Criteria 1, 2,
+and 4 are self-contained oracle checks.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from conftest import host_fingerprint
+from metric_oracles import bf_auc, bf_coverage_at_risk, bf_ece
+import vical
 from vical import experiment, metrics, model, optim, predict, report
 from vical import rng as vrng
 from vical.config import ExperimentConfig
 
 
+def _reap(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.communicate()
+
+
 @pytest.fixture(scope="module")
-def default_run(tmp_path_factory):
+def default_run(request, tmp_path_factory):
     base = tmp_path_factory.mktemp("accept")
+    rerun, rerun_dir = None, str(base / "run2")
+    if any(item.name == "test_criterion_10_determinism" for item in request.session.items):
+        # criterion 10's rerun: the CLI in a child process, beside the run below
+        src = os.path.dirname(os.path.dirname(os.path.abspath(vical.__file__)))
+        rerun = subprocess.Popen(
+            [sys.executable, "-m", "vical", "run", "--out", rerun_dir],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        request.addfinalizer(lambda: _reap(rerun))
     cfg = ExperimentConfig()
     cfg.out_dir = str(base / "run1")
     t0 = time.perf_counter()
@@ -39,6 +63,8 @@ def default_run(tmp_path_factory):
         "sweep_rows": sweep_rows,
         "elapsed": elapsed,
         "out_dir": cfg.out_dir,
+        "rerun": rerun,
+        "rerun_dir": rerun_dir,
     }
 
 
@@ -151,42 +177,6 @@ def test_criterion_3_positivity(default_run, verdict):
 # -- criterion 4: metric oracle equivalence ----------------------------------
 
 
-def _bf_sorted(conf, correct):
-    pairs = sorted(zip(conf, correct), key=lambda p: (-p[0], p[1]))
-    return [c for _, c in pairs]
-
-
-def _bf_coverage_at_risk(conf, correct, budget):
-    ranked = _bf_sorted(conf, correct)
-    n = len(ranked)
-    for k in range(n, 0, -1):
-        errors = sum(1 for c in ranked[:k] if not c)
-        if errors / k <= budget:
-            return k / n
-    return 0.0
-
-
-def _bf_auc(conf, correct):
-    ranked = _bf_sorted(conf, correct)
-    risks = []
-    errors = 0
-    for k, c in enumerate(ranked, start=1):
-        errors += 0 if c else 1
-        risks.append(errors / k)
-    return sum(risks) / len(risks)
-
-
-def _bf_ece(conf, correct, n_bins):
-    bins = {}
-    for c, ok in zip(conf, correct):
-        b = min(int(c * n_bins), n_bins - 1)
-        cnt, csum, asum = bins.get(b, (0, 0.0, 0.0))
-        bins[b] = (cnt + 1, csum + c, asum + (1.0 if ok else 0.0))
-    n = len(conf)
-    return sum(cnt / n * abs(asum / cnt - csum / cnt)
-               for cnt, csum, asum in bins.values())
-
-
 def _scores(conf, correct):
     return (np.asarray(conf, dtype=np.float64),
             np.asarray(correct, dtype=np.float64))
@@ -206,12 +196,12 @@ def test_criterion_4_metric_oracles(verdict):
         scores = _scores(conf, correct)
         for budget in (0.0, 0.01, 0.05, 0.1, 0.5):
             worst = max(worst, abs(metrics.coverage_at_risk(*scores, budget)
-                                   - _bf_coverage_at_risk(conf, correct, budget)))
+                                   - bf_coverage_at_risk(conf, correct, budget)))
         worst = max(worst, abs(metrics.risk_coverage_auc(*scores)
-                               - _bf_auc(conf, correct)))
+                               - bf_auc(conf, correct)))
         for n_bins in (1, 7, 10):
             worst = max(worst, abs(metrics.ece(*scores, n_bins)
-                                   - _bf_ece(conf, correct, n_bins)))
+                                   - bf_ece(conf, correct, n_bins)))
     # hand oracles
     scores = _scores([0.9, 0.8, 0.7, 0.6], [True, False, True, True])
     hand_ok = (
@@ -330,20 +320,20 @@ def test_criterion_9_coverage_monotone(default_run, verdict):
 # -- criterion 10: byte-identical reports on rerun ---------------------------
 
 
-def test_criterion_10_determinism(default_run, tmp_path, verdict):
-    cfg = ExperimentConfig()
-    cfg.out_dir = str(tmp_path / "run2")
-    report.emit_report(experiment.run_experiment(cfg), cfg, cfg.out_dir)
+def test_criterion_10_determinism(default_run, verdict):
+    rerun = default_run["rerun"]
+    _, err = rerun.communicate(timeout=600)
+    assert rerun.returncode == 0, err
     names = ("report.csv", "report.txt")
     same = {}
     for name in names:
         with open(f"{default_run['out_dir']}/{name}", "rb") as fh:
             first = fh.read()
-        with open(f"{cfg.out_dir}/{name}", "rb") as fh:
+        with open(f"{default_run['rerun_dir']}/{name}", "rb") as fh:
             second = fh.read()
         same[name] = first == second
     verdict(10, all(same.values()),
-            "rerun with the default config: " +
+            "rerun of the default config through `vical run`: " +
             ", ".join(f"{n} {'identical' if ok else 'DIFFERS'}"
                       for n, ok in same.items()))
 

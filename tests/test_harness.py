@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import host_fingerprint
 from vical import cli, config, data, experiment, model, report
 from vical.config import (
-    ConfigError, ExperimentConfig, config_dict, config_hash, load_config,
-    validate_config,
+    MAX_ECE_BINS, ConfigError, EvalSettings, ExperimentConfig, config_dict, config_hash,
+    load_config, validate_config,
 )
 from vical.experiment import ReportRow, TrainingDiverged
 
@@ -147,6 +147,12 @@ def test_load_config_rejects_unknown_names(tmp_path):
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value), body
+    # a NUL byte in a path value would reach the OS and raise ValueError there
+    for body in (b"[run]\nout_dir = a\0b\n", b"[dataset]\ntrain_csv = a\0b\ndev_csv = c\n",
+                 b"[dataset]\ntrain_csv = a\ndev_csv = c\0\n"):
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="must not hold a NUL byte"):
+            load_config(str(path))
 
 
 def test_validate_config_invariants():
@@ -158,10 +164,14 @@ def test_validate_config_invariants():
         {"batch_size": 0},
         {"hidden_sizes": (0,)},
         {"hidden_sizes": (99999999999,)},  # past data.MAX_ELEMENTS parameters
+        {"lora": True, "lora_rank": 99999999999},  # past data.MAX_ELEMENTS LoRA factors
+        {"eval": EvalSettings(ece_bins=0)},
+        {"eval": EvalSettings(ece_bins=MAX_ECE_BINS + 1)},
     ):
         cfg = _small_cfg(**breakage)
         with pytest.raises(ConfigError):
             validate_config(cfg)
+    validate_config(_small_cfg(eval=EvalSettings(ece_bins=MAX_ECE_BINS)))
 
     cfg = _small_cfg()
     cfg.train_csv = "only_train.csv"
@@ -1132,6 +1142,7 @@ def test_cli_generated_inputs_end_with_an_exit_code(tmp_path, monkeypatch):
              "run", None)
     @example(_small_ini_with("n_train = 96", "n_train = 99999999999999999999"), "sweep", None)
     @example(SMALL_INI.encode("utf-8"), "eval", "afile/x")
+    @example(b"[run]\nout_dir = a\0b\n", "gen-data", None)
     @example(SMALL_INI.encode("utf-8"), "gen-data", "out")  # exits 0
     @example(SMALL_INI.encode("utf-8"), "run", "out")  # reaches training
     def check(ini, command, out):

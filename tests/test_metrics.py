@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metric_oracles import bf_auc, bf_coverage_at_risk, bf_ece
 from vical import metrics, rng
 
 
@@ -14,46 +16,6 @@ def _scores(pairs):
 
 
 ORACLE = _scores([(0.9, True), (0.8, False), (0.7, True), (0.6, True)])
-
-
-# ----------------------------------------------------- brute-force twins ---
-
-def _bf_sorted(conf, correct):
-    # descending confidence, incorrect before correct on ties
-    return sorted(zip(conf.tolist(), correct.tolist()), key=lambda r: (-r[0], r[1]))
-
-
-def _bf_coverage_at_risk(conf, correct, budget):
-    rs = _bf_sorted(conf, correct)
-    n = len(rs)
-    best = 0.0
-    errs = 0
-    for k, (_, ok) in enumerate(rs, start=1):
-        errs += not ok
-        if errs / k <= budget:
-            best = k / n
-    return best
-
-
-def _bf_auc(conf, correct):
-    rs = _bf_sorted(conf, correct)
-    errs, total = 0, 0.0
-    for k, (_, ok) in enumerate(rs, start=1):
-        errs += not ok
-        total += errs / k
-    return total / len(rs)
-
-
-def _bf_ece(conf, correct, bins):
-    sums = {}
-    for c, ok in zip(conf.tolist(), correct.tolist()):
-        b = min(int(c * bins), bins - 1)
-        cnt, s, oks = sums.get(b, (0, 0.0, 0))
-        sums[b] = (cnt + 1, s + c, oks + bool(ok))
-    n = len(conf)
-    return sum(
-        (c / n) * abs(ok / c - s / c) for c, s, ok in sums.values()
-    )
 
 
 def _random_scores(key, n, c):
@@ -138,10 +100,27 @@ def test_matches_brute_force_on_random_instances():
         conf, correct = _random_scores(2000 + i, n, c)
         for budget in (0.0, 0.01, 0.05, 0.1, 0.5):
             got = metrics.coverage_at_risk(conf, correct, budget)
-            assert abs(got - _bf_coverage_at_risk(conf, correct, budget)) < 1e-12
-        assert abs(metrics.risk_coverage_auc(conf, correct) - _bf_auc(conf, correct)) < 1e-12
+            assert abs(got - bf_coverage_at_risk(conf, correct, budget)) < 1e-12
+        assert abs(metrics.risk_coverage_auc(conf, correct) - bf_auc(conf, correct)) < 1e-12
         for bins in (1, 7, 10):
-            assert abs(metrics.ece(conf, correct, bins) - _bf_ece(conf, correct, bins)) < 1e-12
+            assert abs(metrics.ece(conf, correct, bins) - bf_ece(conf, correct, bins)) < 1e-12
+
+
+# confidences tied at bin edges (for 10 bins) and at the top, beside any in [0, 1]
+_CONF = st.one_of(st.sampled_from([k / 10 for k in range(11)] + [1 - 1e-16]),
+                  st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_CONF, st.booleans()), min_size=1, max_size=40),
+       st.one_of(st.sampled_from([0.0, 0.05, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(1, 12))
+def test_metrics_match_brute_force_oracles(pairs, budget, n_bins):
+    conf, correct = _scores(pairs)
+    assert abs(metrics.coverage_at_risk(conf, correct, budget)
+               - bf_coverage_at_risk(conf, correct, budget)) < 1e-12
+    assert abs(metrics.risk_coverage_auc(conf, correct) - bf_auc(conf, correct)) < 1e-12
+    assert abs(metrics.ece(conf, correct, n_bins) - bf_ece(conf, correct, n_bins)) < 1e-12
 
 
 def test_coverage_monotone_in_budget():

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import host_fingerprint
 from vical import _kernels, rng
@@ -184,6 +185,20 @@ def test_normal_fill_splits_exactly(counter, h):
     assert np.array_equal(whole, np.concatenate([head, tail]))
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, (1 << 64) - 1),
+       # counters within 2n words of 2^64 make the head, the tail or both wrap
+       st.one_of(st.integers(0, (1 << 64) - 1), st.integers((1 << 64) - 700, (1 << 64) - 1)),
+       st.integers(2, 300), st.data())
+def test_normal_fill_splits_exactly_anywhere(key, counter, n, data):
+    split = data.draw(st.integers(1, n - 1))
+    k = np.uint64(key)
+    whole = _kernels.normal_fill(k, np.uint64(counter), n)
+    head = _kernels.normal_fill(k, np.uint64(counter), split)
+    tail = _kernels.normal_fill(k, np.uint64((counter + 2 * split) % (1 << 64)), n - split)
+    assert np.array_equal(whole, np.concatenate([head, tail]))
+
+
 def test_normal_fill_alternating_lengths():
     k, c = np.uint64(0xDEADBEEF), np.uint64(12345)
     single = {}
@@ -228,13 +243,11 @@ def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus, fcntl_call):
     alone = rng.RngState(key, start)
     fed = rng.RngState(key, start)
     twins = [rng.sample_standard_normal(alone, n) for _ in range(count)]
-    with rng.normal_feed(fed, n, count) as draw:
+    with rng.normal_feed(fed, n) as draw:
         draws = []
         for twin in twins:
             draws.append(draw())
             assert np.array_equal(draws[-1], twin)
-        with pytest.raises(RuntimeError, match="exhausted"):
-            draw()
         # each draw is the caller's own: the first still holds its values
         # after four more draws
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(draws, 2))
@@ -245,7 +258,7 @@ def test_normal_feed_matches_in_process_draws(monkeypatch, n, cpus, fcntl_call):
 
 def test_normal_feed_closed_before_drained(two_cpus):
     state = rng.seed_rng(22)
-    with rng.normal_feed(state, P, 50) as draw:
+    with rng.normal_feed(state, P) as draw:
         first = draw()
     assert np.array_equal(first, rng.sample_standard_normal(rng.seed_rng(22), P))
     assert state.counter == 2 * P  # one draw taken
@@ -261,9 +274,9 @@ def test_normal_feed_producer_death_is_an_error(two_cpus, monkeypatch, capfd):
         return fill(key, counter, n)
 
     monkeypatch.setattr(_kernels, "normal_fill", fails_on_third)
-    with rng.normal_feed(rng.seed_rng(23), 8, 5) as draw:
+    with rng.normal_feed(rng.seed_rng(23), 8) as draw:
         draw(), draw()
-        with pytest.raises(RuntimeError, match="exited before draw 3 of 5"):
+        with pytest.raises(RuntimeError, match="exited early"):
             draw()
     _no_child_left()
     assert "producer out of memory" in capfd.readouterr().err
