@@ -105,8 +105,9 @@ def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]
 def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
-    for method in experiment.methods(cfg):
-        art = experiment.train_one(cfg, seed, method, data=data)
+    for method, art in experiment.train_seed(cfg, seed, experiment.methods(cfg), data).items():
+        if isinstance(art, dict):
+            raise experiment.TrainingDiverged(**art)
         losses = ", ".join(f"{v:.4f}" for v in art.epoch_losses)
         print(f"{method} seed {seed}: {art.steps} steps, epoch losses [{losses}]")
     return []

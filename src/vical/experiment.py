@@ -13,10 +13,17 @@ from ``rng.normal_feed``, which computes them in a forked producer while
 the run computes gradients and updates (reaped when training ends or
 fails), or makes them in process where no second CPU is usable.
 
-Each (seed, method) run is one ``run_job`` (train unless handed the
-artifact, score, turn a divergence into a failure record), mapped in
-(seed, method) order by ``_run_jobs``: ``run_experiment`` logs each
-failure as one ERROR line, ``sweep`` raises the first. Sweeps score through
+A run's training loop is a generator that yields after each optimizer
+step, and ``train_one`` drains it. ``train_seed`` pairs a seed's two
+runs: while the IVON run waits on its producer, the feed's ``idle`` hook
+advances the AdamW run one step, and AdamW's ``train_one`` finishes the
+steps left. On one CPU the feed never waits, and the runs train in turn.
+
+``_run_jobs`` trains each seed's missing runs with ``train_seed``, which
+hands a diverged run back as its failure record, then scores every
+(seed, method) run in that order with ``run_job``, which passes such a
+record on and records a failed evaluation the same way: ``run_experiment``
+logs each failure as one ERROR line, ``sweep`` raises the first. Sweeps score through
 evaluate_one's MC path, so a sweep row at (K=8, T=1) is the MC-8 row.
 This module writes no files; ``report`` writes what it returns.
 """
@@ -27,7 +34,7 @@ import contextlib
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +52,11 @@ class TrainingDiverged(Exception):
     def __init__(self, method: str, seed: int, step: int, detail: str):
         super().__init__(f"{method} seed {seed} diverged after {step} completed steps: {detail}")
         self.method, self.seed, self.step, self.detail = method, seed, step, detail
+
+    def record(self) -> dict:
+        """The failure record ``metadata.json`` lists; ``TrainingDiverged(**record)``
+        rebuilds the exception."""
+        return {"method": self.method, "seed": self.seed, "step": self.step, "detail": self.detail}
 
 
 @dataclass
@@ -166,12 +178,10 @@ def _epoch_order(shuffle_rng: vrng.RngState, n: int) -> np.ndarray:
     return np.argsort(vrng.sample_uniform(shuffle_rng, n), kind="stable")
 
 
-# numpy's float warnings are silenced where a FloatingPointError becomes a
-# reported failure; one errstate each, as numpy < 2 cannot nest one instance
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
-              data: Optional[Data] = None) -> TrainedArtifact:
-    """Train one model with one optimizer under one seed."""
+def _steps(cfg: ExperimentConfig, seed: int, optimizer: str, data: Optional[Data],
+           idle: Optional[Callable[[], bool]]) -> Generator[None, None, TrainedArtifact]:
+    """One run's training loop: yields after each optimizer step and returns
+    the artifact. ``idle`` fills an IVON run's waits on its noise feed."""
     if optimizer not in ("adamw", "ivon"):
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     train, _ = data if data is not None else load_data(cfg)
@@ -191,7 +201,7 @@ def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
     adamw_state = optim.adamw_init(theta.shape[0]) if optimizer == "adamw" else None
     post = optim.init_posterior(theta, cfg.ivon) if optimizer == "ivon" else None
     min_hd = np.inf
-    with (vrng.normal_feed(noise_rng, theta.shape[0]) if optimizer == "ivon"
+    with (vrng.normal_feed(noise_rng, theta.shape[0], idle) if optimizer == "ivon"
           else contextlib.nullcontext()) as draw:
         try:
             for _ in range(cfg.epochs):
@@ -211,6 +221,7 @@ def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
                         min_hd = min(min_hd, hd)
                     epoch_loss += loss
                     art.steps += 1
+                    yield
                 art.epoch_losses.append(epoch_loss / steps_per_epoch)
         except FloatingPointError as exc:
             raise TrainingDiverged(optimizer, seed, art.steps, str(exc)) from exc
@@ -221,6 +232,72 @@ def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
         art.posterior = post
         art.min_hdelta = float(min_hd)
     return art
+
+
+class _Run:
+    """A training run taken one optimizer step at a time; once it has ended,
+    ``end`` holds its artifact, or the TrainingDiverged that ended it."""
+
+    def __init__(self, steps: Generator[None, None, TrainedArtifact]):
+        self.steps = steps
+        self.end: Union[TrainedArtifact, TrainingDiverged, None] = None
+
+    def advance(self) -> bool:
+        """Take the run's next step; False once it has ended. Any exception
+        but a divergence leaves through here."""
+        if self.end is None:
+            try:
+                next(self.steps)
+                return True
+            except StopIteration as done:
+                self.end = done.value
+            except TrainingDiverged as exc:
+                self.end = exc
+        return False
+
+
+# numpy's float warnings are silenced where a FloatingPointError becomes a
+# reported failure; one errstate each, as numpy < 2 cannot nest one instance.
+# A run's steps execute only inside a train_one call, so under its errstate.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
+              data: Optional[Data] = None, idle: Optional[Callable[[], bool]] = None,
+              run: Optional[_Run] = None) -> TrainedArtifact:
+    """Train one model with one optimizer under one seed.
+
+    ``idle`` is called while an IVON run waits on its noise producer (see
+    ``rng.normal_feed``); ``run``, a run begun elsewhere, is finished
+    instead of a new one.
+    """
+    run = run or _Run(_steps(cfg, seed, optimizer, data, idle))
+    while run.advance():
+        pass
+    if isinstance(run.end, TrainingDiverged):
+        raise run.end
+    return run.end
+
+
+def train_seed(cfg: ExperimentConfig, seed: int, optimizers: Tuple[str, ...],
+               data: Data) -> Dict[str, Union[TrainedArtifact, dict]]:
+    """Each optimizer's run for one seed: its artifact, or the failure
+    record of the TrainingDiverged that ended it; every value pickles.
+
+    With both optimizers, IVON's ``train_one`` advances the AdamW run one
+    step per idle call, and AdamW's ``train_one`` finishes it. The runs
+    share no state, so the bytes are those of one run after the other, and
+    AdamW opens no feed, so nothing forks while it is suspended.
+    """
+    paired = set(optimizers) == {"adamw", "ivon"}
+    adamw = _Run(_steps(cfg, seed, "adamw", data, None)) if paired else None
+    out: Dict[str, Union[TrainedArtifact, dict]] = {}
+    for method in ("ivon", "adamw") if paired else optimizers:
+        try:
+            out[method] = train_one(cfg, seed, method, data=data,
+                                    idle=adamw.advance if adamw and method == "ivon" else None,
+                                    run=adamw if method == "adamw" else None)
+        except TrainingDiverged as exc:
+            out[method] = exc.record()
+    return {method: out[method] for method in optimizers}
 
 
 def eval_rng(seed: int) -> vrng.RngState:
@@ -297,27 +374,33 @@ def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_job(cfg: ExperimentConfig, seed: int, method: str, data: Data,
-            art: Optional[TrainedArtifact] = None, grid: Optional[Grid] = None):
-    """Train (unless handed ``art``) and score one run; ``grid`` scores by ``_mc_evals``.
-    Returns (art, evals, None) or (art if trained, [], failure); every argument pickles."""
+            art: Union[TrainedArtifact, dict], grid: Optional[Grid] = None):
+    """Score one run from its artifact, or pass on the failure record that
+    ended its training; ``grid`` scores by ``_mc_evals``. Returns (art,
+    evals, None) or (art or None, [], failure record); every argument pickles."""
+    if isinstance(art, dict):
+        return None, [], art
     try:
-        art = art or train_one(cfg, seed, method, data=data)
-        try:
-            evals = (evaluate_one(art, data[1], cfg) if grid is None else
-                     _mc_evals(art, template(cfg, art.sizes, seed), data[1], cfg, grid))
-        except FloatingPointError as exc:  # e.g. a posterior draw overflows
-            raise TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}") from exc
-    except TrainingDiverged as exc:
-        return art, [], {"method": method, "seed": seed, "step": exc.step, "detail": exc.detail}
-    return art, evals, None
+        return art, (evaluate_one(art, data[1], cfg) if grid is None else
+                     _mc_evals(art, template(cfg, art.sizes, seed), data[1], cfg, grid)), None
+    except FloatingPointError as exc:  # e.g. a posterior draw overflows
+        return art, [], TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}").record()
 
 
 def _run_jobs(cfg: ExperimentConfig, data: Data, optimizers: Tuple[str, ...],
               artifacts: Optional[Artifacts] = None, grid: Optional[Grid] = None):
-    """``run_job`` over every (seed, optimizer) in that order: the artifacts,
-    every EvalResult, and the failure records."""
-    jobs = [(seed, method) for seed in sorted(cfg.seeds) for method in optimizers]
-    results = [run_job(cfg, s, m, data, (artifacts or {}).get((m, s)), grid) for s, m in jobs]
+    """``run_job`` over every (seed, optimizer) in that order, each seed's
+    missing runs trained first by ``train_seed``: the artifacts, every
+    EvalResult, and the failure records."""
+    artifacts = artifacts or {}
+    jobs, results = [], []
+    for seed in sorted(cfg.seeds):
+        trained = train_seed(cfg, seed, tuple(m for m in optimizers if (m, seed) not in artifacts),
+                             data)
+        for method in optimizers:
+            art = trained.get(method) or artifacts[(method, seed)]
+            jobs.append((seed, method))
+            results.append(run_job(cfg, seed, method, data, art, grid))
     return ({(m, s): art for (s, m), (art, _, _) in zip(jobs, results) if art is not None},
             [ev for _, evs, _ in results for ev in evs], [f for _, _, f in results if f])
 

@@ -27,15 +27,19 @@ computed ahead of their use. ``normal_feed`` hands out
 ``sample_standard_normal`` draws until closed, written into one pipe by
 a forked producer where a second CPU is usable, else made in process;
 the caller gets the same arrays, in the same order, and the same counter.
+While the pipe holds no bytes, a fed ``draw()`` calls the caller's
+``idle()`` hook, if any, until the bytes arrive or ``idle`` returns False,
+so the caller can do other work instead of blocking on the producer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import select
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -113,7 +117,8 @@ def _produce(state: RngState, n: int, pipe_w: int) -> None:
 
 
 @contextlib.contextmanager
-def normal_feed(state: RngState, n: int) -> Iterator[Callable[[], np.ndarray]]:
+def normal_feed(state: RngState, n: int, idle: Optional[Callable[[], bool]] = None
+                ) -> Iterator[Callable[[], np.ndarray]]:
     """Draws of ``sample_standard_normal(state, n)`` until the feed closes.
 
     Yields ``draw()``, which returns the next draw as a new array and
@@ -123,6 +128,12 @@ def normal_feed(state: RngState, n: int) -> Iterator[Callable[[], np.ndarray]]:
     that dies early raises RuntimeError in ``draw()``; otherwise ``draw``
     is the in-process sampler itself. On exit, even through an exception,
     the producer is told to stop and is reaped.
+
+    ``idle`` fills the fed ``draw()``'s waits: while the pipe has no bytes
+    ready, ``draw()`` calls it again and again, and once it returns False
+    blocks on the pipe from then on. Whatever ``idle`` raises leaves
+    through ``draw()``. The in-process sampler never waits, so it never
+    calls ``idle``.
     """
     if n < 1:
         raise ValueError("requested an empty sample (n must be >= 1)")
@@ -148,9 +159,13 @@ def normal_feed(state: RngState, n: int) -> Iterator[Callable[[], np.ndarray]]:
     os.close(pipe_w)
 
     def draw() -> np.ndarray:
+        nonlocal idle
         out = np.empty(n)
         view = memoryview(out).cast("B")
         while view:
+            while idle is not None and not ready.poll(0):
+                if not idle():
+                    idle = None
             got = os.readv(pipe_r, [view])
             if not got:
                 raise RuntimeError("normal feed producer exited early")
@@ -159,6 +174,8 @@ def normal_feed(state: RngState, n: int) -> Iterator[Callable[[], np.ndarray]]:
         return out
 
     try:
+        ready = select.poll()
+        ready.register(pipe_r, select.POLLIN)
         yield draw
     finally:
         os.close(pipe_r)  # the producer sees EPIPE and leaves

@@ -1,5 +1,6 @@
 import ast
 import configparser
+import copy
 import hashlib
 import importlib.util
 import inspect
@@ -9,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 import warnings
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import host_fingerprint
-from vical import cli, config, data, experiment, model, report
+from vical import _kernels, cli, config, data, experiment, model, optim, report, rng
 from vical.config import (
     MAX_ECE_BINS, ConfigError, EvalSettings, ExperimentConfig, config_dict, config_hash,
     load_config, validate_config,
@@ -440,6 +442,113 @@ def test_training_leaves_no_producer_behind(monkeypatch):
     assert forks == [1, 1, 1]
 
 
+def _slow_feed(monkeypatch):
+    """Make the feed's producer sleep before each draw, so that an IVON run
+    waits on it; returns what each idle call answered (True: AdamW took a
+    step in IVON's wait)."""
+    answers, feed, fill = [], rng.normal_feed, _kernels.normal_fill
+
+    def slow_fill(key, counter, n):
+        time.sleep(0.002)
+        return fill(key, counter, n)
+
+    def counted_feed(state, n, idle=None):
+        def counted():
+            answers.append(idle())
+            return answers[-1]
+        return feed(state, n, counted if idle else None)
+
+    monkeypatch.setattr(_kernels, "normal_fill", slow_fill)
+    monkeypatch.setattr(rng, "normal_feed", counted_feed)
+    return answers
+
+
+def _same_artifact(a, b):
+    assert (a.method, a.seed, a.sizes, a.epoch_losses, a.min_hdelta, a.steps) == \
+        (b.method, b.seed, b.sizes, b.epoch_losses, b.min_hdelta, b.steps)
+    vectors = ([a.params, b.params] if a.method == "adamw" else
+               [getattr(art.posterior, name) for name in ("mean", "hess", "g_mom")
+                for art in (a, b)])
+    for got, want in zip(vectors[::2], vectors[1::2]):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["train_samples_2", "lora"])
+def test_paired_runs_match_sequential_runs(monkeypatch, variant):
+    # AdamW steps taken in IVON's waits change no byte of either run
+    cfg = _small_cfg(epochs=2)
+    if variant == "lora":
+        cfg.lora, cfg.lora_rank, cfg.lora_alpha = True, 2, 4.0
+    else:
+        cfg.ivon.train_samples = 2
+    data_ = data.generate_dataset(cfg.dataset)
+    jobs = [(seed, method) for seed in cfg.seeds for method in ("adamw", "ivon")]
+    alone = {(m, s): experiment.train_one(cfg, s, m, data=data_) for s, m in jobs}
+    want = [ev for s, m in jobs for ev in experiment.evaluate_one(alone[(m, s)], data_[1], cfg)]
+
+    forks = _feed_used(monkeypatch)
+    answers = _slow_feed(monkeypatch)
+    arts, evals, failures = experiment._run_jobs(cfg, data_, ("adamw", "ivon"))
+    assert forks == [1, 1] and sum(answers) > 0 and failures == []
+    _no_child_left()
+    assert list(arts) == [(m, s) for s, m in jobs]
+    for key, art in arts.items():
+        _same_artifact(art, alone[key])
+    assert _eval_digest(evals) == _eval_digest(want)
+
+
+def test_paired_divergence_stays_with_its_run(monkeypatch):
+    cfg = _small_cfg(seeds=[0])
+    data_ = data.generate_dataset(cfg.dataset)
+    for diverging, other, lr, decay, answered in [
+        # AdamW overflows after 4 steps, all taken in IVON's waits
+        ("adamw", "ivon", 1e307, 0.0, [True] * 4 + [False]),
+        # IVON overflows after 5 steps; AdamW then finishes alone
+        ("ivon", "adamw", 1e60, 1e-3, None),
+    ]:
+        run_cfg = copy.deepcopy(cfg)
+        getattr(run_cfg, diverging).lr = lr
+        getattr(run_cfg, diverging).weight_decay = decay
+        # the two runs one after the other, each alone
+        with pytest.raises(TrainingDiverged) as err:
+            experiment.train_one(run_cfg, 0, diverging, data=data_)
+        alone = experiment.train_one(run_cfg, 0, other, data=data_)
+        with monkeypatch.context() as patch:
+            _feed_used(patch)
+            answers = _slow_feed(patch)
+            arts, evals, failures = experiment._run_jobs(run_cfg, data_, ("adamw", "ivon"))
+        _no_child_left()
+        assert (answers == answered) if answered else (sum(answers) > 0)
+        exc = err.value
+        assert failures == [{"method": diverging, "seed": 0, "step": exc.step,
+                             "detail": exc.detail}]
+        assert list(arts) == [(other, 0)]
+        _same_artifact(arts[(other, 0)], alone)
+        assert _eval_digest(evals) == _eval_digest(experiment.evaluate_one(alone, data_[1], run_cfg))
+
+
+def test_paired_training_lets_other_errors_through(monkeypatch):
+    # only a divergence becomes a failure record; any other error from an
+    # AdamW step taken in IVON's wait leaves through the feed, which reaps
+    # its producer
+    calls, step = [], optim.adamw_step
+
+    def fails_on_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyError("adamw step failed")
+        step(*args)
+
+    _feed_used(monkeypatch)
+    _slow_feed(monkeypatch)
+    monkeypatch.setattr(optim, "adamw_step", fails_on_second)
+    cfg = _small_cfg(seeds=[0])
+    with pytest.raises(KeyError, match="adamw step failed") as err:
+        experiment._run_jobs(cfg, data.generate_dataset(cfg.dataset), ("adamw", "ivon"))
+    assert "draw" in [entry.name for entry in err.traceback]  # raised in IVON's wait
+    _no_child_left()
+
+
 def test_cli_run_leaves_no_process(tmp_path):
     # the process group of a `vical run` is empty once the run has exited
     with subprocess.Popen(
@@ -558,13 +667,30 @@ def test_artifacts_pickle(small_run):
 
 
 def test_run_job_arguments_pickle(small_run):
-    # a job handed over by pickle, as a process pool would, gives the same run
+    # a seed trained and scored from pickled arguments and results, as a
+    # process pool would hand them over, gives the same run
     cfg, result, _ = small_run
     data_ = (result.train, result.dev)
-    adamw = (cfg, 1, "adamw", data_)
-    evals = experiment.run_job(*pickle.loads(pickle.dumps(adamw)))[1]
+
+    def handed_over(*args):
+        return pickle.loads(pickle.dumps(args))
+
+    trained = experiment.train_seed(*handed_over(cfg, 1, ("adamw",), data_))
+    (trained,) = handed_over(trained)
+    evals = experiment.run_job(*handed_over(cfg, 1, "adamw", data_, trained["adamw"]))[1]
     assert _eval_digest(evals) == _eval_digest(
         [ev for ev in result.evals if (ev.method, ev.seed) == ("AdamW", 1)])
+    # so does a divergence (seed 0 overflows after 4 steps), with the
+    # record of the run trained alone
+    run_cfg = copy.deepcopy(cfg)
+    run_cfg.adamw.lr, run_cfg.adamw.weight_decay = 1e307, 0.0
+    with pytest.raises(TrainingDiverged) as err:
+        experiment.train_one(run_cfg, 0, "adamw", data=data_)
+    (trained,) = handed_over(experiment.train_seed(*handed_over(run_cfg, 0, ("adamw",), data_)))
+    assert trained == {"adamw": err.value.record()}
+    assert (experiment.run_job(*handed_over(run_cfg, 0, "adamw", data_, trained["adamw"]))
+            == (None, [], err.value.record()))
+    assert str(TrainingDiverged(**err.value.record())) == str(err.value)
     sweep_job = (cfg, 0, "ivon", data_, result.artifacts[("ivon", 0)], [(2, 10.0)])
     _, evals, failure = experiment.run_job(*pickle.loads(pickle.dumps(sweep_job)))
     assert failure is None and [ev.method for ev in evals] == ["IVON MC-2 T=10"]
@@ -1283,25 +1409,35 @@ def _run_every_command(tmp_path):
     assert [cli.run_cli(argv) for argv in commands] == [0] * (len(commands) - 1) + [4]
 
 
-def test_every_function_is_reached_from_a_command(tmp_path):
-    entered = set()
+# The noise feed's reader, which runs only where a producer forks
+FED_ONLY = {"rng.normal_feed.<locals>.draw"}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        _run_every_command(tmp_path)
-    finally:
-        sys.setprofile(previous)
-    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
+def test_every_function_is_reached_from_a_command(tmp_path, monkeypatch):
+    # whatever the host's CPU count: with a forked producer every function
+    # is entered, and on one CPU every function but the feed's reader
     defined = _defined_functions()
-    assert REACH_EXEMPT <= set(defined.values())
-    missed = sorted(qual for key, qual in defined.items()
-                    if key not in reached and qual not in REACH_EXEMPT)
-    assert missed == [], f"no command enters {', '.join(missed)}"
+    assert REACH_EXEMPT <= set(defined.values()) and FED_ONLY <= set(defined.values())
+    for cpus, unreached in (({0, 1}, set()), ({0}, FED_ONLY)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            (tmp_path / str(len(cpus))).mkdir()
+            _run_every_command(tmp_path / str(len(cpus)))
+        finally:
+            sys.setprofile(previous)
+        reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
+        missed = sorted(qual for key, qual in defined.items()
+                        if key not in reached and qual not in REACH_EXEMPT)
+        assert missed == sorted(unreached), \
+            f"on {len(cpus)} CPU(s) no command enters {', '.join(missed)}"
 
 
 def test_every_config_key_is_read_by_a_command(tmp_path, monkeypatch):

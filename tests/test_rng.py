@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import os
+import select
+import threading
 
 import numpy as np
 import pytest
@@ -280,3 +282,70 @@ def test_normal_feed_producer_death_is_an_error(two_cpus, monkeypatch, capfd):
             draw()
     _no_child_left()
     assert "producer out of memory" in capfd.readouterr().err
+
+
+def test_normal_feed_idles_only_while_the_pipe_is_empty(two_cpus, monkeypatch):
+    alone = rng.seed_rng(25)
+    twins = [rng.sample_standard_normal(alone, 8) for _ in range(3)]
+    # the producer computes a draw only after taking a byte from a gate
+    # pipe, so the test decides when the feed's pipe holds bytes
+    gate_r, gate_w = os.pipe()
+    fill, pipes, pipe = _kernels.normal_fill, [], os.pipe
+
+    def gated(key, counter, n):
+        os.read(gate_r, 1)
+        return fill(key, counter, n)
+
+    monkeypatch.setattr(_kernels, "normal_fill", gated)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    idled = []
+
+    def idle():
+        feed_r = pipes[0][0]
+        assert not select.select([feed_r], [], [], 0)[0], "idled with bytes ready"
+        idled.append(len(draws))
+        if len(idled) < 3:
+            return True
+        os.write(gate_w, b"x")  # let the second draw through, then block on it
+        return False
+
+    fed, draws = rng.seed_rng(25), []
+    try:
+        with rng.normal_feed(fed, 8, idle) as draw:
+            try:
+                os.write(gate_w, b"x")
+                assert select.select([pipes[0][0]], [], [], 30)[0]
+                draws.append(draw())  # the first draw was ready: no idle call
+                assert idled == []
+                draws.append(draw())  # two idle calls, a third that answers False
+                assert idled == [1, 1, 1]
+                # idle answered False: the third draw blocks on the empty pipe
+                # until the gate opens, and never idles again
+                opener = threading.Timer(0.05, os.write, (gate_w, b"x"))
+                opener.start()
+                draws.append(draw())
+                opener.join()
+                assert idled == [1, 1, 1]
+            finally:
+                # enough bytes for the producer to fill even a 64 KiB pipe
+                # and then see it close
+                os.write(gate_w, b"x" * 4096)
+    finally:
+        os.close(gate_w)
+        os.close(gate_r)
+    assert all(np.array_equal(got, twin) for got, twin in zip(draws, twins))
+    assert fed.counter == alone.counter == 6 * 8
+    _no_child_left()
+
+
+def test_normal_feed_in_process_never_idles(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def idle():
+        raise AssertionError("the in-process sampler idled")
+
+    alone, fed = rng.seed_rng(26), rng.seed_rng(26)
+    with rng.normal_feed(fed, P, idle) as draw:
+        for _ in range(3):
+            assert np.array_equal(draw(), rng.sample_standard_normal(alone, P))
+    assert fed.counter == alone.counter
