@@ -5,7 +5,7 @@ Subcommands: gen-data, train, eval, run, sweep. Exit codes: 0 success,
 ``data.MAX_ELEMENTS`` = 2**26 values, or an output directory that cannot be
 created, all found before any data is read; or a write that fails later,
 which leaves the old file whole), 3 data error, 4 run failure. ``run_cli``
-alone picks the code: each command returns its failure records.
+alone picks the code: each command returns its failures.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import List, Optional
 from . import experiment, report
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .data import DataError, csv_text, generate_dataset
+from .experiment import TrainingDiverged
 
 log = logging.getLogger("vical")
 
@@ -89,7 +90,7 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
+def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> List[TrainingDiverged]:
     spec = cfg.dataset
     if args.seed is not None:
         spec.seed = args.seed
@@ -102,18 +103,18 @@ def _cmd_gen_data(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]
     return []
 
 
-def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
+def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> List[TrainingDiverged]:
     seed = cfg.seeds[0]
     data = experiment.load_data(cfg)
     for method, art in experiment.train_seed(cfg, seed, experiment.methods(cfg), data).items():
-        if isinstance(art, dict):
-            raise experiment.TrainingDiverged(**art)
+        if isinstance(art, TrainingDiverged):
+            raise art
         losses = ", ".join(f"{v:.4f}" for v in art.epoch_losses)
         print(f"{method} seed {seed}: {art.steps} steps, epoch losses [{losses}]")
     return []
 
 
-def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
+def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> List[TrainingDiverged]:
     cfg.seeds = cfg.seeds[:1]
     result = experiment.run_experiment(cfg)
     for ev in result.evals:
@@ -125,7 +126,7 @@ def _cmd_eval(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     return result.failures  # run_experiment logged each one
 
 
-def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
+def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> List[TrainingDiverged]:
     result = experiment.run_experiment(cfg)
     print(report.emit_report(result, cfg, cfg.out_dir), end="")
     if result.failures:
@@ -133,7 +134,7 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
     return result.failures
 
 
-def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> List[dict]:
+def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> List[TrainingDiverged]:
     rows = experiment.sweep(cfg, args.axis)
     report.write_sweep_csv(rows, args.axis, cfg.out_dir)
     print(f"wrote sweep_{args.axis}.csv with {len(rows)} rows under {cfg.out_dir}")
@@ -203,7 +204,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except DataError as exc:
         log.error("data error: %s", exc)
         return 3
-    except experiment.TrainingDiverged as exc:
+    except TrainingDiverged as exc:
         log.error("run failure: %s", exc)
         return 4
     except OSError as exc:  # the output directory, or a write under it

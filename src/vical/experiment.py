@@ -20,11 +20,11 @@ advances the AdamW run one step, and AdamW's ``train_one`` finishes the
 steps left. On one CPU the feed never waits, and the runs train in turn.
 
 ``_run_jobs`` trains each seed's missing runs with ``train_seed``, which
-hands a diverged run back as its failure record, then scores every
-(seed, method) run in that order with ``run_job``, which passes such a
-record on and records a failed evaluation the same way: ``run_experiment``
-logs each failure as one ERROR line, ``sweep`` raises the first. Sweeps score through
-evaluate_one's MC path, so a sweep row at (K=8, T=1) is the MC-8 row.
+hands a diverged run back as its TrainingDiverged, then scores every
+(seed, method) run in that order, turning a failed evaluation into a
+TrainingDiverged too: ``run_experiment`` logs each failure as one ERROR
+line, ``sweep`` raises the first. Sweeps score through evaluate_one's MC
+path, so a sweep row at (K=8, T=1) is the MC-8 row.
 This module writes no files; ``report`` writes what it returns.
 """
 
@@ -50,12 +50,14 @@ SWEEP_KEYS = ("acc", "ece", "c_at_5", "auc")  # the sweep CSV's metric columns
 
 class TrainingDiverged(Exception):
     def __init__(self, method: str, seed: int, step: int, detail: str):
-        super().__init__(f"{method} seed {seed} diverged after {step} completed steps: {detail}")
+        super().__init__(method, seed, step, detail)  # the args it pickles by
         self.method, self.seed, self.step, self.detail = method, seed, step, detail
 
+    def __str__(self) -> str:
+        return f"{self.method} seed {self.seed} diverged after {self.step} completed steps: {self.detail}"
+
     def record(self) -> dict:
-        """The failure record ``metadata.json`` lists; ``TrainingDiverged(**record)``
-        rebuilds the exception."""
+        """The failure record ``metadata.json`` lists."""
         return {"method": self.method, "seed": self.seed, "step": self.step, "detail": self.detail}
 
 
@@ -100,7 +102,7 @@ class ExperimentResult:
     rows: List[ReportRow]
     evals: List[EvalResult]
     artifacts: Artifacts
-    failures: List[dict]
+    failures: List[TrainingDiverged]
     train: model.Batch
     dev: model.Batch
 
@@ -261,15 +263,10 @@ class _Run:
 # A run's steps execute only inside a train_one call, so under its errstate.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
-              data: Optional[Data] = None, idle: Optional[Callable[[], bool]] = None,
-              run: Optional[_Run] = None) -> TrainedArtifact:
-    """Train one model with one optimizer under one seed.
-
-    ``idle`` is called while an IVON run waits on its noise producer (see
-    ``rng.normal_feed``); ``run``, a run begun elsewhere, is finished
-    instead of a new one.
-    """
-    run = run or _Run(_steps(cfg, seed, optimizer, data, idle))
+              data: Optional[Data] = None, run: Optional[_Run] = None) -> TrainedArtifact:
+    """Train one model with one optimizer under one seed; ``run``, a run
+    begun elsewhere, is finished instead of a new one."""
+    run = run or _Run(_steps(cfg, seed, optimizer, data, None))
     while run.advance():
         pass
     if isinstance(run.end, TrainingDiverged):
@@ -278,26 +275,24 @@ def train_one(cfg: ExperimentConfig, seed: int, optimizer: str,
 
 
 def train_seed(cfg: ExperimentConfig, seed: int, optimizers: Tuple[str, ...],
-               data: Data) -> Dict[str, Union[TrainedArtifact, dict]]:
-    """Each optimizer's run for one seed: its artifact, or the failure
-    record of the TrainingDiverged that ended it; every value pickles.
+               data: Data) -> Dict[str, Union[TrainedArtifact, TrainingDiverged]]:
+    """Each optimizer's run for one seed: its artifact, or the
+    TrainingDiverged that ended it; every value pickles.
 
-    With both optimizers, IVON's ``train_one`` advances the AdamW run one
+    With both optimizers, the IVON run's feed advances the AdamW run one
     step per idle call, and AdamW's ``train_one`` finishes it. The runs
     share no state, so the bytes are those of one run after the other, and
     AdamW opens no feed, so nothing forks while it is suspended.
     """
     paired = set(optimizers) == {"adamw", "ivon"}
-    adamw = _Run(_steps(cfg, seed, "adamw", data, None)) if paired else None
-    out: Dict[str, Union[TrainedArtifact, dict]] = {}
+    runs: Dict[str, _Run] = {}
+    for method in sorted(optimizers):  # AdamW's run first, for IVON's feed to idle on
+        idle = runs["adamw"].advance if paired and method == "ivon" else None
+        runs[method] = _Run(_steps(cfg, seed, method, data, idle))
     for method in ("ivon", "adamw") if paired else optimizers:
-        try:
-            out[method] = train_one(cfg, seed, method, data=data,
-                                    idle=adamw.advance if adamw and method == "ivon" else None,
-                                    run=adamw if method == "adamw" else None)
-        except TrainingDiverged as exc:
-            out[method] = exc.record()
-    return {method: out[method] for method in optimizers}
+        with contextlib.suppress(TrainingDiverged):
+            train_one(cfg, seed, method, run=runs[method])
+    return {method: runs[method].end for method in optimizers}
 
 
 def eval_rng(seed: int) -> vrng.RngState:
@@ -373,36 +368,28 @@ def _aggregate(evals: List[EvalResult]) -> List[ReportRow]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def run_job(cfg: ExperimentConfig, seed: int, method: str, data: Data,
-            art: Union[TrainedArtifact, dict], grid: Optional[Grid] = None):
-    """Score one run from its artifact, or pass on the failure record that
-    ended its training; ``grid`` scores by ``_mc_evals``. Returns (art,
-    evals, None) or (art or None, [], failure record); every argument pickles."""
-    if isinstance(art, dict):
-        return None, [], art
-    try:
-        return art, (evaluate_one(art, data[1], cfg) if grid is None else
-                     _mc_evals(art, template(cfg, art.sizes, seed), data[1], cfg, grid)), None
-    except FloatingPointError as exc:  # e.g. a posterior draw overflows
-        return art, [], TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}").record()
-
-
 def _run_jobs(cfg: ExperimentConfig, data: Data, optimizers: Tuple[str, ...],
               artifacts: Optional[Artifacts] = None, grid: Optional[Grid] = None):
-    """``run_job`` over every (seed, optimizer) in that order, each seed's
-    missing runs trained first by ``train_seed``: the artifacts, every
-    EvalResult, and the failure records."""
+    """Every (seed, optimizer) run in that order, each seed's missing runs
+    trained first by ``train_seed``, scored by ``evaluate_one`` (``_mc_evals``
+    given ``grid``): the artifacts, every EvalResult, and the failures."""
     artifacts = artifacts or {}
-    jobs, results = [], []
+    arts, evals, failures = {}, [], []
     for seed in sorted(cfg.seeds):
         trained = train_seed(cfg, seed, tuple(m for m in optimizers if (m, seed) not in artifacts),
                              data)
         for method in optimizers:
             art = trained.get(method) or artifacts[(method, seed)]
-            jobs.append((seed, method))
-            results.append(run_job(cfg, seed, method, data, art, grid))
-    return ({(m, s): art for (s, m), (art, _, _) in zip(jobs, results) if art is not None},
-            [ev for _, evs, _ in results for ev in evs], [f for _, _, f in results if f])
+            if isinstance(art, TrainingDiverged):
+                failures.append(art)
+                continue
+            arts[(method, seed)] = art
+            try:
+                evals += (evaluate_one(art, data[1], cfg) if grid is None else
+                          _mc_evals(art, template(cfg, art.sizes, seed), data[1], cfg, grid))
+            except FloatingPointError as exc:  # e.g. a posterior draw overflows
+                failures.append(TrainingDiverged(method, seed, art.steps, f"evaluation: {exc}"))
+    return arts, evals, failures
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -411,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train, dev = load_data(cfg)
     artifacts, evals, failures = _run_jobs(cfg, (train, dev), methods(cfg))
     for failure in failures:
-        log.error("%s", TrainingDiverged(**failure))
+        log.error("%s", failure)
     return ExperimentResult(_aggregate(evals), evals, artifacts, failures, train, dev)
 
 
@@ -434,7 +421,7 @@ def sweep(cfg: ExperimentConfig, axis: str, artifacts: Optional[Artifacts] = Non
     data = data if data is not None else load_data(cfg)
     _, evals, failures = _run_jobs(cfg, data, ("ivon",), artifacts, grid)
     if failures:
-        raise TrainingDiverged(**failures[0])
+        raise failures[0]
     return [{"axis_value": k if axis == "mc_samples" else t, "seed": ev.seed,
              **{m: ev.values[m] for m in SWEEP_KEYS}}
             for (k, t), ev in zip(itertools.cycle(grid), evals)]

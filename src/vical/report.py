@@ -146,7 +146,7 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
     """
     table = format_table(result.rows)
     if result.failures:
-        tags = ", ".join(f"{f['method']}/seed{f['seed']}" for f in result.failures)
+        tags = ", ".join(f"{f.method}/seed{f.seed}" for f in result.failures)
         table += f"WARNING: {len(result.failures)} failed run(s) excluded: {tags}\n"
     write_text(os.path.join(out_dir, "report.txt"), table)
     write_report_csv(result.rows, os.path.join(out_dir, "report.csv"))
@@ -156,7 +156,7 @@ def emit_report(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -
         "backend": backend.active(),
         "seeds": sorted(cfg.seeds),
         "methods": [row.method for row in result.rows],
-        "failures": result.failures,
+        "failures": [f.record() for f in result.failures],
         "versions": _versions(),
     }
     write_text(os.path.join(out_dir, "metadata.json"),

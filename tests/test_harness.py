@@ -520,8 +520,8 @@ def test_paired_divergence_stays_with_its_run(monkeypatch):
         _no_child_left()
         assert (answers == answered) if answered else (sum(answers) > 0)
         exc = err.value
-        assert failures == [{"method": diverging, "seed": 0, "step": exc.step,
-                             "detail": exc.detail}]
+        assert [f.record() for f in failures] == [{"method": diverging, "seed": 0,
+                                                   "step": exc.step, "detail": exc.detail}]
         assert list(arts) == [(other, 0)]
         _same_artifact(arts[(other, 0)], alone)
         assert _eval_digest(evals) == _eval_digest(experiment.evaluate_one(alone, data_[1], run_cfg))
@@ -666,35 +666,35 @@ def test_artifacts_pickle(small_run):
                 == _eval_digest(experiment.evaluate_one(art, result.dev, run_cfg)))
 
 
-def test_run_job_arguments_pickle(small_run):
-    # a seed trained and scored from pickled arguments and results, as a
-    # process pool would hand them over, gives the same run
+def test_train_seed_hand_over_pickles(small_run):
+    # a seed trained from pickled arguments, its pickled result scored in
+    # this process, gives the same run, as a pool mapping train_seed would
     cfg, result, _ = small_run
     data_ = (result.train, result.dev)
 
-    def handed_over(*args):
-        return pickle.loads(pickle.dumps(args))
+    def handed_over(value):
+        return pickle.loads(pickle.dumps(value))
 
-    trained = experiment.train_seed(*handed_over(cfg, 1, ("adamw",), data_))
-    (trained,) = handed_over(trained)
-    evals = experiment.run_job(*handed_over(cfg, 1, "adamw", data_, trained["adamw"]))[1]
-    assert _eval_digest(evals) == _eval_digest(
-        [ev for ev in result.evals if (ev.method, ev.seed) == ("AdamW", 1)])
-    # so does a divergence (seed 0 overflows after 4 steps), with the
-    # record of the run trained alone
+    trained = handed_over(experiment.train_seed(*handed_over((cfg, 1, ("adamw",), data_))))
+    assert _eval_digest(experiment.evaluate_one(trained["adamw"], result.dev, cfg)) == \
+        _eval_digest([ev for ev in result.evals if (ev.method, ev.seed) == ("AdamW", 1)])
+    # a divergence (seed 0 overflows after 4 steps) crosses whole: its four
+    # fields, message and record are those of the run trained alone
     run_cfg = copy.deepcopy(cfg)
     run_cfg.adamw.lr, run_cfg.adamw.weight_decay = 1e307, 0.0
     with pytest.raises(TrainingDiverged) as err:
         experiment.train_one(run_cfg, 0, "adamw", data=data_)
-    (trained,) = handed_over(experiment.train_seed(*handed_over(run_cfg, 0, ("adamw",), data_)))
-    assert trained == {"adamw": err.value.record()}
-    assert (experiment.run_job(*handed_over(run_cfg, 0, "adamw", data_, trained["adamw"]))
-            == (None, [], err.value.record()))
-    assert str(TrainingDiverged(**err.value.record())) == str(err.value)
-    sweep_job = (cfg, 0, "ivon", data_, result.artifacts[("ivon", 0)], [(2, 10.0)])
-    _, evals, failure = experiment.run_job(*pickle.loads(pickle.dumps(sweep_job)))
-    assert failure is None and [ev.method for ev in evals] == ["IVON MC-2 T=10"]
-    assert _eval_digest(evals) == _eval_digest(experiment.run_job(*sweep_job)[1])
+    trained = handed_over(experiment.train_seed(*handed_over((run_cfg, 0, ("adamw",), data_))))
+    failed = trained["adamw"]
+    assert type(failed) is TrainingDiverged
+    assert (failed.method, failed.seed, failed.step, failed.detail) == \
+        ("adamw", 0, 4, err.value.detail)
+    assert str(failed) == str(err.value) and failed.record() == err.value.record()
+    # a sweep's grid scores pickled artifacts through _mc_evals
+    sweep_jobs = (cfg, data_, ("ivon",), result.artifacts, [(2, 10.0)])
+    _, evals, failures = experiment._run_jobs(*handed_over(sweep_jobs))
+    assert failures == [] and [ev.method for ev in evals] == ["IVON MC-2 T=10"] * 2
+    assert _eval_digest(evals) == _eval_digest(experiment._run_jobs(*sweep_jobs)[1])
 
 
 def test_sweep_matches_experiment_rows(small_run):
@@ -782,7 +782,7 @@ def test_failed_runs_are_excluded_not_fatal(tmp_path):
     cfg.seeds = [0]
     cfg.adamw.lr = 1e308
     result = experiment.run_experiment(cfg)
-    assert [f["method"] for f in result.failures] == ["adamw"]
+    assert [(f.method, f.seed) for f in result.failures] == [("adamw", 0)]
     assert {row.method for row in result.rows} == {"IVON Mean", "IVON MC-8"}
     table = report.emit_report(result, cfg, cfg.out_dir)
     with open(os.path.join(cfg.out_dir, "report.txt"), encoding="utf-8") as fh:
@@ -1492,9 +1492,9 @@ print(worker.blas_facts()["blas_threads"])
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("OpenBLAS caps its thread count at the core count, so one "
-                    "core cannot run 2 threads")
+    # OpenBLAS caps its thread count at the CPUs this process may use
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
     ini = _write_ini(tmp_path)
     path = os.pathsep.join(os.path.join(REPO, d) for d in ("src", "perfbench"))
     runs = {}
@@ -1507,7 +1507,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         # the library keeps the caller's setting
-        assert proc.stdout.split()[-1] == str(threads)
+        assert proc.stdout.split()[-1] == str(min(threads, usable))
         runs[f"library, {threads} BLAS threads"] = out
     out = str(tmp_path / "cli")
     proc = subprocess.run(
