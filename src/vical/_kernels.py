@@ -93,15 +93,17 @@ def normal_fill(key: np.uint64, counter: np.uint64, n: int) -> np.ndarray:
     mix64(odd, tmp)
     even >>= _U11
     even += _ONE
-    np.multiply(even, _INV53, out=u1)  # (0,1], log-safe
+    # each uniform goes to a vector its words do not share: casting in place
+    # over the words it reads makes numpy buffer the cast
+    np.multiply(even, _INV53, out=t)   # radial, (0,1], log-safe
     odd >>= _U11
-    np.multiply(odd, _INV53, out=u2)   # [0,1)
-    np.log(u1, out=u1)
-    np.multiply(-2.0, u1, out=u1)
-    np.sqrt(u1, out=u1)
-    np.multiply(_TWO_PI, u2, out=u2)
-    np.cos(u2, out=u2)
-    return u1 * u2
+    np.multiply(odd, _INV53, out=u1)   # angular, [0,1)
+    np.log(t, out=t)
+    np.multiply(-2.0, t, out=t)
+    np.sqrt(t, out=t)
+    np.multiply(_TWO_PI, u1, out=u1)
+    np.cos(u1, out=u1)
+    return t * u1
 
 
 def adamw_core(params, grad, m, v, lr, b1, b2, eps, wd, bc1, bc2) -> None:
@@ -147,7 +149,9 @@ def ivon_core(mean, hess, gmom, gprod, gavg, lr, b1, b2, lam, delta, bc1, c3):
     hess += t
     np.add(hess, delta, out=hhat)        # h_new + delta, before the floor
     min_hd = float(np.min(hhat))
-    floored = int(np.count_nonzero(hess < 0.0))
+    # a negative h gives h+delta <= delta, so no entry needs the floor when
+    # min(h+delta) > delta (a NaN minimum still counts)
+    floored = 0 if min_hd > delta else int(np.count_nonzero(hess < 0.0))
     if floored:
         np.maximum(hess, 0.0, out=hess)
         np.add(hess, delta, out=hhat)

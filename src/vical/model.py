@@ -28,6 +28,14 @@ import numpy as np
 
 from . import numeric, rng as vrng
 
+# rows per forward block in evaluation. A row's logits can depend on how
+# many rows share its GEMM: OpenBLAS sends a product of at most 10**6
+# multiply-adds down its small-matrix path. Blocks of 500 keep the
+# whole-matrix bits of the default width at every numeric level checked;
+# at 256 hidden units a block's output product takes that path where the
+# 1,000-row dev set's did not, and the last digits of its scores move
+EVAL_BLOCK = 500
+
 
 @dataclass
 class Batch:
@@ -64,26 +72,41 @@ def n_params(sizes: Sequence[int]) -> int:
     return sum(fi * fo + fo for fi, fo in layer_shapes(sizes))
 
 
-def _views(flat: np.ndarray, want: int, shapes) -> List[Tuple[np.ndarray, ...]]:
-    """Per-layer views into ``flat``; ``shapes`` lists each layer's block shapes."""
+_LAYOUTS: dict = {}  # (sizes, LoRA rank or None) -> (length, per-layer (start, stop, shape))
+
+
+def _views(flat: np.ndarray, sizes: Sequence[int], rank=None) -> List[Tuple[np.ndarray, ...]]:
+    """Per-layer views into ``flat``: (W, b) of an MLP vector, or (A, B) of
+    a LoRA vector of ``rank``. The offsets are worked out once per size tuple."""
+    key = (tuple(sizes), rank)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        if rank is None:
+            want = n_params(sizes)
+            shapes = [((fi, fo), (fo,)) for fi, fo in layer_shapes(sizes)]
+        else:
+            want = lora_n_params(sizes, rank)
+            shapes = [((fi, rank), (rank, fo)) for fi, fo in layer_shapes(sizes)]
+        layers = []
+        off = 0
+        for blocks in shapes:
+            layer = []
+            for shape in blocks:
+                size = math.prod(shape)
+                layer.append((off, off + size, shape))
+                off += size
+            layers.append(layer)
+        layout = _LAYOUTS[key] = (want, layers)
+    want, layers = layout
     if flat.shape != (want,):
         raise ValueError(f"flat vector has length {flat.shape}, need {want}")
-    layers = []
-    off = 0
-    for blocks in shapes:
-        views = []
-        for shape in blocks:
-            size = math.prod(shape)
-            views.append(flat[off:off + size].reshape(shape))
-            off += size
-        layers.append(tuple(views))
-    return layers
+    return [tuple([flat[start:stop].reshape(shape) for start, stop, shape in layer])
+            for layer in layers]
 
 
 def unflatten(theta: np.ndarray, sizes: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into per-layer (W, b) views (no copies)."""
-    return _views(theta, n_params(sizes),
-                  [((fi, fo), (fo,)) for fi, fo in layer_shapes(sizes)])
+    return _views(theta, sizes)
 
 
 def init_mlp(sizes: Sequence[int], rng: vrng.RngState) -> MlpParams:
@@ -101,7 +124,7 @@ def _check_features(features: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"features must be [n, {d}], got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("features contain non-finite values")
     return x
 
@@ -134,16 +157,25 @@ def _forward_stack(weights, biases, features: np.ndarray):
 
 
 def _logits(weights, biases, features: np.ndarray) -> np.ndarray:
-    """Checked features in, logits out; ``numeric`` checks the logits."""
+    """Checked features in, logits out; ``numeric`` checks the logits.
+
+    From 2 * EVAL_BLOCK rows on, the rows go through the layers in blocks
+    of EVAL_BLOCK, the last block taking the remainder, so every block has
+    EVAL_BLOCK to 2 * EVAL_BLOCK - 1 rows and a hidden activation never
+    outgrows that many rows, however large the dev set.
+    """
     x = _check_features(features, weights[0].shape[0])
-    return _forward_stack(weights, biases, x)[-1]
+    n = x.shape[0]
+    blocks = np.split(x, range(EVAL_BLOCK, n - EVAL_BLOCK + 1, EVAL_BLOCK))
+    logits = [_forward_stack(weights, biases, block)[-1] for block in blocks]
+    return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
 def _ce_from_logits(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and the output-layer error (P - Y)/n."""
     n = logits.shape[0]
     logp = numeric.log_softmax(logits, axis=1)
-    loss = float(-np.mean(logp[np.arange(n), labels]))
+    loss = float(-(np.add.reduce(logp[np.arange(n), labels]) / n))
     dz = np.exp(logp)
     dz[np.arange(n), labels] -= 1.0
     dz /= n
@@ -162,7 +194,7 @@ def _layer_grads(weights, biases, batch: Batch, grads) -> float:
     for i in range(len(weights) - 1, -1, -1):
         gw, gb = grads[i]
         np.matmul(acts[i].T, dz, out=gw)
-        np.sum(dz, axis=0, out=gb)
+        np.add.reduce(dz, axis=0, out=gb)
         if i > 0:
             dz = (dz @ weights[i].T) * (1.0 - acts[i] * acts[i])  # tanh'
     return loss
@@ -191,9 +223,7 @@ def lora_n_params(sizes: Sequence[int], rank: int) -> int:
 
 def lora_unflatten(adapter: LoraAdapter) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Per-layer (A, B) views into the adapter's flat vector."""
-    r = adapter.rank
-    return _views(adapter.phi, lora_n_params(adapter.sizes, r),
-                  [((fi, r), (r, fo)) for fi, fo in layer_shapes(adapter.sizes)])
+    return _views(adapter.phi, adapter.sizes, adapter.rank)
 
 
 def init_lora(sizes: Sequence[int], rank: int, alpha: float, rng: vrng.RngState) -> LoraAdapter:

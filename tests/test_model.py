@@ -195,6 +195,14 @@ def _pin_case(sizes):
     }
 
 
+def long_forward_digest():
+    """sha256 of the (16, 768, 4) pin model's logits over 1,235 rows, more
+    than one evaluation block"""
+    params, _, _ = _pin_inputs((16, 768, 4))
+    x = _toy_batch(66, 1235, 16, 4).features
+    return hashlib.sha256(model.forward(params, x).tobytes()).hexdigest()
+
+
 # sha256 of repr(loss), the gradient bytes and the logits bytes, recorded
 # before the MLP and LoRA paths shared one forward/backward; (16, 768, 4),
 # the default width, recorded before the forward's bias add and tanh ran
@@ -241,12 +249,15 @@ def test_model_calls_leave_inputs_unchanged(sizes):
 
 
 def test_forward_holds_one_activation_at_a_time(traced_peak):
-    # one 1000 x 768 hidden activation is 1000 * 768 * 8 bytes; a second
-    # one alive beside it (an out-of-place bias add or tanh) breaks the bound
+    # evaluation forwards 500-999 rows at a time, so at 1,000 rows and at
+    # 5,000 the peak is one 500 x 768 hidden activation, 3.1 MB; a second
+    # one alive beside it (an out-of-place bias add or tanh), or one over
+    # all 1,000 rows (6.1 MB), breaks the bound
     sizes = (16, 768, 4)
     params = model.init_mlp(sizes, rng.seed_rng(3))
-    x = _toy_batch(7, 1000, 16, 4).features
-    assert traced_peak(lambda: model.forward(params, x)) < 1.5 * 1000 * 768 * 8
+    for rows in (1000, 5000):
+        x = _toy_batch(7, rows, 16, 4).features
+        assert traced_peak(lambda: model.forward(params, x)) < 4 * 2**20, rows
 
 
 def test_lora_training_pinned():

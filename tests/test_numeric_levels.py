@@ -3,7 +3,8 @@
 numpy's ``NPY_DISABLE_CPU_FEATURES`` and OpenBLAS's ``OPENBLAS_CORETYPE``
 are read when a process starts, so each level runs a small pin set in a
 child process of its own: ``normal_fill`` at the default parameter
-count, the model pins, the two kernel pins, and a ``vical run`` on
+count, the model pins, a default-width forward over more rows than one
+evaluation block, the two kernel pins, and a ``vical run`` on
 ``SMALL_INI``. At a lower level ``log``, ``exp``, ``tanh`` and GEMMs round
 differently, so some of these bytes move. Each level's hashes were
 recorded on an AVX-512 host whose own level is numpy 2.4.6 dispatching
@@ -41,6 +42,7 @@ with contextlib.redirect_stdout(sys.stderr):  # the run prints its table
 pins = {"exit": code, "targets": conftest.dispatch_targets(), "core": conftest.openblas_core(),
         "normal_fill": test_rng.normal_fill_digest(),
         "adamw_core": test_optim.adamw_core_digest(), "ivon_core": test_optim.ivon_core_digest()}
+pins["forward (16, 768, 4) 1235 rows"] = test_model.long_forward_digest()
 for sizes in test_model.MODEL_PINS:
     for part, digest in test_model._pin_case(sizes).items():
         pins[f"model {sizes} {part}"] = digest
@@ -57,6 +59,9 @@ NATIVE = {
     "ivon_core": IVON_PIN,
     **{f"model {sizes} {part}": digest
        for sizes, parts in MODEL_PINS.items() for part, digest in parts.items()},
+    # three evaluation blocks' worth of rows, recorded when the forward took
+    # them in one GEMM; after `vical run` has set OpenBLAS to one thread
+    "forward (16, 768, 4) 1235 rows": "243d29cb0afdaf97b7e390af547c744cacce319d8b1a464784c2288e53316f82",
     # `vical run` on SMALL_INI
     "report.csv": "49236718fbc514da09ae051b71fd4fe44727eea2951900b88d1f1b1a024c4431",
     "report.txt": "f9277c6e158b73721ba4a30d263142f5cacae553c13d75392fdc2185f95ba4ce",
@@ -73,6 +78,7 @@ LEVELS = {
         "model (5, 6, 4, 3) lora": "8f79c0c796a555f91c41a778027e8f83cb5439e7a4acffce3820ec79db9b1b75",
         "model (16, 768, 4) mlp": "ae14d3e7edd539c47f827841e59945db6fb763fec3336db74a5c4933c5eb4a81",
         "model (16, 768, 4) lora": "e6caf88177c4fab224dddc5350867cb5321a1bdee307d15be3cde93cbdbbb87e",
+        "forward (16, 768, 4) 1235 rows": "67b767208f08b5c182fd2f12eec534136dfafc6c8fea5ac1f30217ac60163702",
     }),
     "X86_V4 and X86_V3 off": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, {
         "normal_fill": "479d3f76446ad160cab2bf969d9ba148aae56f17837b09d88e6545c45a7e5e1e",
@@ -82,6 +88,7 @@ LEVELS = {
         "model (5, 6, 4, 3) lora": "8a835eec75ffba77dc1ee77e43750f7aabfd1991ef6c53735a453a6b94cbf3f5",
         "model (16, 768, 4) mlp": "1cd413580062b5658606fa6176a29b5aa2eee3470e46d1c26f7708feb1885956",
         "model (16, 768, 4) lora": "56881e7853efb309850ea78eee5fc721eeaed6228a77524f7999e944a52716f5",
+        "forward (16, 768, 4) 1235 rows": "2b7d83b0b53460450a193cb9bc5337975045cbe5738d8a1f8d08bedac591493f",
         "report.csv": "4e112c8b54727c4e0f2339f359aa60ebae91b14182373c93a71d0e0b7882bc27",
     }),
     "X86_V4 off, Haswell core": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4",
@@ -93,6 +100,7 @@ LEVELS = {
         "model (5, 6, 4, 3) lora": "63106c79279288b773dcea96f10ece169574307a45438725c598d43f7e34a42f",
         "model (16, 768, 4) mlp": "055dd30d079a9d80449ea927c17e8223fc138a706b343cc19d642f76769de0dd",
         "model (16, 768, 4) lora": "93051e91b420ffe67d4f7797a27750e72b798394881b1ac5ecca8cc8f588da15",
+        "forward (16, 768, 4) 1235 rows": "07fdef7e3d9dd21f6eabc9b6049d74191b9b77fe3c7bfdfa1753b3a116ef4457",
     }),
 }
 
